@@ -11,7 +11,6 @@ GEMM vs. a scatter-add over real edge indices is emergent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import SimulationConfig
@@ -149,13 +148,3 @@ def h2d_time(nbytes: int, sim: SimulationConfig) -> float:
     """Duration of a host-to-device copy over PCIe."""
     dev = sim.device
     return dev.pcie_latency_s + nbytes / dev.pcie_bandwidth_bytes_per_s
-
-
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def waves_for(threads: int, sim: SimulationConfig, block_size: int = 256) -> float:
-    dev = sim.device
-    warps = math.ceil(threads / dev.warp_size)
-    return max(1.0, warps / (dev.num_sms * dev.max_warps_per_sm))

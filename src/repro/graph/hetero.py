@@ -50,9 +50,6 @@ class HeteroGraph:
     def num_edges(self, etype: EdgeType) -> int:
         return int(self.edges[etype][0].size)
 
-    def edge_endpoints(self, etype: EdgeType) -> tuple[np.ndarray, np.ndarray]:
-        return self.edges[etype]
-
     def adjacency(self, etype: EdgeType, norm: str = "none") -> SparseTensor:
         """dst-by-src adjacency of one edge type (rows aggregate in-edges)."""
         cached = self._adj_cache.get((etype, norm))

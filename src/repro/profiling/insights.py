@@ -50,6 +50,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..digest import canonical_digest
 from ..gpu import analysis_cache, timing
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
 
@@ -422,23 +423,12 @@ def _summaries(flat_sites: list[dict]) -> dict:
 
 
 # -- the report --------------------------------------------------------------
-def canonical_insights_json(report: dict) -> str:
-    """Canonical bytes of a report, excluding its own digest field."""
-    payload = {k: v for k, v in report.items() if k != "insights_digest"}
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
 def insights_digest(report: dict) -> str:
     """SHA-256 over the measurements: canonical JSON minus the digest field
     and minus ``manifest.source_digest`` (which changes with every commit
     even when behaviour doesn't — goldens pin behaviour, not code bytes)."""
-    payload = {k: v for k, v in report.items() if k != "insights_digest"}
-    manifest = dict(payload.get("manifest", {}))
-    manifest.pop("source_digest", None)
-    payload["manifest"] = manifest
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(
+        report, exclude=("insights_digest", "manifest.source_digest"))
 
 
 def insights_report(key: str, scale: str = "test", epochs: int = 2,

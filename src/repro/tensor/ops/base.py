@@ -280,7 +280,7 @@ def gemm_tiles(m: int, n: int) -> tuple[int, int, int]:
     return tile_m, tile_n, math.ceil(m / tile_m) * math.ceil(n / tile_n)
 
 
-def gemm_threads(m: int, n: int, k: int = 1, num_sms: int = 80) -> int:
+def gemm_threads(m: int, n: int, k: int, num_sms: int) -> int:
     """Thread count of a tiled GEMM: 256 threads per output tile.
 
     Tile quantization is what makes skinny GNN GEMMs run far below peak —
@@ -334,7 +334,7 @@ def launch_gemm(
         device,
         name,
         op_class,
-        threads=batch * gemm_threads(m, n, k),
+        threads=batch * gemm_threads(m, n, k, device.sim.device.num_sms),
         fp32_flops=flops,
         int32_iops=iops,
         ldst_instrs=fmas / 16.0,  # shared-memory tiling amortizes loads

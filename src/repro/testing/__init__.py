@@ -4,8 +4,11 @@ Three pillars, each mechanically checkable:
 
 * :mod:`.gradcheck` — every ``Function.backward`` against fp64 central
   differences;
-* :mod:`.golden` — every registry workload's kernel stream against a
-  committed JSON fingerprint (``python -m repro golden --update``);
+* :mod:`.golden` — every golden report kind (kernel streams, timeline
+  traces, HBM, fused plans, serving, sampled and sharded training,
+  insights) against committed JSON snapshots, through one generic
+  ``path/load/save/compare/verify/update`` driven by the
+  :mod:`repro.core.kinds` table (``python -m repro golden --update``);
 * :mod:`.invariants` — every simulated launch/transfer against the GPU
   model's physical-consistency invariants ("strict mode").
 
@@ -20,32 +23,13 @@ from .gradcheck import (
     gradcheck,
     gradcheck_module,
 )
+from . import golden
 from .golden import (
     StreamRecorder,
     capture_fingerprint,
-    compare_fingerprints,
-    compare_fused_fingerprints,
-    compare_trace_fingerprints,
-    fingerprint_suite,
     fingerprint_workload,
     fused_fingerprint,
-    fused_golden_path,
     golden_dir,
-    golden_path,
-    load_fused_golden,
-    load_golden,
-    load_trace_golden,
-    save_fused_golden,
-    save_golden,
-    save_trace_golden,
-    trace_golden_path,
-    update_fused_goldens,
-    update_goldens,
-    update_trace_goldens,
-    verify_fused_goldens,
-    verify_golden,
-    verify_goldens,
-    verify_trace_goldens,
 )
 from .invariants import (
     InvariantChecker,
@@ -75,33 +59,14 @@ __all__ = [
     "check_launch",
     "check_stalls",
     "check_transfer",
-    "compare_fingerprints",
-    "compare_fused_fingerprints",
-    "compare_trace_fingerprints",
-    "fingerprint_suite",
     "fingerprint_workload",
     "fused_fingerprint",
-    "fused_golden_path",
+    "golden",
     "golden_dir",
-    "golden_path",
     "gradcheck",
     "gradcheck_module",
-    "load_fused_golden",
-    "load_golden",
-    "load_trace_golden",
     "make_launch",
     "make_transfer",
     "random_events",
-    "save_fused_golden",
-    "save_golden",
-    "save_trace_golden",
     "strict_mode",
-    "trace_golden_path",
-    "update_fused_goldens",
-    "update_goldens",
-    "update_trace_goldens",
-    "verify_fused_goldens",
-    "verify_golden",
-    "verify_goldens",
-    "verify_trace_goldens",
 ]

@@ -42,10 +42,6 @@ class ScalingPoint:
     steps: int
     grad_bytes: int
 
-    @property
-    def speedup_base(self) -> float:
-        return self.compute_time_s + self.allreduce_time_s
-
 
 def _shard_batch(workload, num_devices: int):
     """Apply DDP splitting to a freshly built replica.

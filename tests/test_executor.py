@@ -31,8 +31,8 @@ def populated_cache(tmp_path_factory):
 def serial_fingerprints(populated_cache):
     """Ground truth: the whole registry fingerprinted serially (this run
     also populates ``populated_cache`` for the cache-hit leg)."""
-    return golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1, seed=0,
-                                    jobs=1, cache=populated_cache)
+    return executor.suite("fingerprint", ALL_KEYS, scale="test", epochs=1,
+                          seed=0, jobs=1, cache=populated_cache)
 
 
 def _digests(fps: dict) -> dict[str, str]:
@@ -42,8 +42,8 @@ def _digests(fps: dict) -> dict[str, str]:
 class TestEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_parallel_digests_byte_identical(self, jobs, serial_fingerprints):
-        fps = golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1,
-                                       seed=0, jobs=jobs, cache=None)
+        fps = executor.suite("fingerprint", ALL_KEYS, scale="test", epochs=1,
+                             seed=0, jobs=jobs, cache=None)
         assert _digests(fps) == _digests(serial_fingerprints)
 
     def test_cache_hit_digests_byte_identical(self, serial_fingerprints,
@@ -54,9 +54,9 @@ class TestEquivalence:
             golden, "fingerprint_workload",
             lambda *a, **k: pytest.fail("cache hit still recomputed"),
         )
-        again = golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1,
-                                         seed=0, jobs=1,
-                                         cache=populated_cache)
+        again = executor.suite("fingerprint", ALL_KEYS, scale="test",
+                               epochs=1, seed=0, jobs=1,
+                               cache=populated_cache)
         assert populated_cache.hits - hits_before == len(ALL_KEYS)
         assert _digests(again) == _digests(serial_fingerprints)
 
@@ -66,7 +66,7 @@ class TestEquivalence:
         serial == committed here and parallel/cache == serial above, every
         execution path reproduces tests/golden/*.json byte for byte."""
         for key in ALL_KEYS:
-            expected = golden.load_golden(key)
+            expected = golden.load("fingerprint", key)
             assert (serial_fingerprints[key]["stream_digest"]
                     == expected["stream_digest"]), key
 
@@ -85,24 +85,24 @@ class TestCacheInvalidation:
 
     def test_seed_change_is_a_miss(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        first = golden.fingerprint_suite(["TLSTM"], seed=0, cache=cache)
-        second = golden.fingerprint_suite(["TLSTM"], seed=1, cache=cache)
+        first = executor.suite("fingerprint", ["TLSTM"], seed=0, cache=cache)
+        second = executor.suite("fingerprint", ["TLSTM"], seed=1, cache=cache)
         assert cache.hits == 0 and cache.misses == 2
         assert (first["TLSTM"]["stream_digest"]
                 != second["TLSTM"]["stream_digest"])
 
     def test_source_edit_is_a_miss(self, tmp_path):
         before = ProfileCache(root=tmp_path, fingerprint="code-v1")
-        golden.fingerprint_suite(["TLSTM"], cache=before)
+        executor.suite("fingerprint", ["TLSTM"], cache=before)
         assert before.stores == 1
         after = ProfileCache(root=tmp_path, fingerprint="code-v2")
-        golden.fingerprint_suite(["TLSTM"], cache=after)
+        executor.suite("fingerprint", ["TLSTM"], cache=after)
         assert after.hits == 0 and after.misses == 1
 
     def test_unchanged_params_hit(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        first = golden.fingerprint_suite(["TLSTM"], cache=cache)
-        again = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        first = executor.suite("fingerprint", ["TLSTM"], cache=cache)
+        again = executor.suite("fingerprint", ["TLSTM"], cache=cache)
         assert cache.hits == 1
         assert first["TLSTM"] == again["TLSTM"]
 
@@ -110,7 +110,7 @@ class TestCacheInvalidation:
 class TestCacheDamage:
     def _store_one(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        fps = executor.suite("fingerprint", ["TLSTM"], cache=cache)
         [path] = sorted(tmp_path.glob("*.pkl"))
         return fps["TLSTM"], path
 
@@ -118,7 +118,7 @@ class TestCacheDamage:
         reference, path = self._store_one(tmp_path)
         path.write_bytes(b"this is not a pickle")
         fresh = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=fresh)
+        fps = executor.suite("fingerprint", ["TLSTM"], cache=fresh)
         assert fresh.hits == 0 and fresh.misses == 1
         assert fps["TLSTM"]["stream_digest"] == reference["stream_digest"]
 
@@ -127,7 +127,7 @@ class TestCacheDamage:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         fresh = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=fresh)
+        fps = executor.suite("fingerprint", ["TLSTM"], cache=fresh)
         assert fresh.hits == 0
         assert fps["TLSTM"]["stream_digest"] == reference["stream_digest"]
 
@@ -144,7 +144,7 @@ class TestCacheDamage:
     def test_unwritable_root_is_not_fatal(self, tmp_path):
         cache = ProfileCache(root=tmp_path / "file-in-the-way")
         (tmp_path / "file-in-the-way").write_text("not a directory")
-        fps = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        fps = executor.suite("fingerprint", ["TLSTM"], cache=cache)
         assert fps["TLSTM"]["workload"] == "TLSTM"
         assert cache.stores == 0
 

@@ -10,24 +10,18 @@ regenerate with ``PYTHONPATH=src python -m repro golden --fused --update``.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.registry import WORKLOAD_KEYS
-from repro.testing import (
-    compare_fused_fingerprints,
-    fused_fingerprint,
-    fused_golden_path,
-    load_fused_golden,
-    save_fused_golden,
-)
+from repro.testing import fused_fingerprint, golden
+
+KIND = "fused_fingerprint"
 
 
 @pytest.mark.parametrize("key", WORKLOAD_KEYS)
 def test_fused_plan_matches_golden(key):
     observed = fused_fingerprint(key)
-    diffs = compare_fused_fingerprints(load_fused_golden(key), observed)
+    diffs = golden.compare(KIND, golden.load(KIND, key), observed)
     assert not diffs, (
         f"{key} fused plan diverged from tests/golden/fused_{key}.json:\n  "
         + "\n  ".join(diffs)
@@ -37,25 +31,15 @@ def test_fused_plan_matches_golden(key):
 
 
 def test_fused_snapshots_exist_for_whole_registry():
-    missing = [k for k in WORKLOAD_KEYS if not fused_golden_path(k).exists()]
+    missing = [k for k in WORKLOAD_KEYS if not golden.path(KIND, k).exists()]
     assert not missing, f"no fused golden snapshot for {missing}"
-
-
-def test_fused_snapshot_files_round_trip():
-    for key in WORKLOAD_KEYS:
-        path = fused_golden_path(key)
-        original = path.read_text()
-        fingerprint = load_fused_golden(key)
-        assert save_fused_golden(fingerprint).read_text() == original
-        assert json.dumps(fingerprint, indent=2, sort_keys=True) + "\n" \
-            == original
 
 
 def test_every_workload_actually_fuses():
     # the suite-wide claim in DESIGN.md §9: each workload's steady epoch
     # contains at least one fusible elementwise run
     for key in WORKLOAD_KEYS:
-        snap = load_fused_golden(key)
+        snap = golden.load(KIND, key)
         assert snap["fused_kernels"] >= 1, key
         assert snap["fused_members"] >= 2 * snap["fused_kernels"], key
         assert snap["fused_launch_count"] < snap["launch_count"], key

@@ -2,10 +2,19 @@
 
 import pytest
 
-from repro.gpu import DEFAULT_SIMULATION, KernelDescriptor, OpClass
+from repro.gpu import (
+    DEFAULT_SIMULATION,
+    DeviceConfig,
+    KernelDescriptor,
+    OpClass,
+    SimulatedGPU,
+    SimulationConfig,
+)
 from repro.gpu.caches import analyze as cache_analyze
 from repro.gpu.timing import analyze as timing_analyze
-from repro.tensor.ops.base import gemm_threads, gemm_tiles
+from repro.tensor.ops.base import gemm_threads, gemm_tiles, launch_gemm
+
+V100_SMS = DEFAULT_SIMULATION.device.num_sms
 
 
 def _run(desc):
@@ -16,7 +25,7 @@ def _run(desc):
 def _gemm_desc(m, k, n, threads=None):
     return KernelDescriptor(
         name="gemm", op_class=OpClass.GEMM,
-        threads=threads or gemm_threads(m, n, k),
+        threads=threads or gemm_threads(m, n, k, V100_SMS),
         fp32_flops=2.0 * m * k * n,
         int32_iops=0.1 * m * k * n,
         bytes_read=4.0 * (m * k + k * n),
@@ -71,9 +80,27 @@ class TestShapeEffects:
 
     def test_split_k_parallelizes_weight_gradients(self):
         """wgrad GEMMs (tiny m, n; huge k) must not serialize on one SM."""
-        with_split = gemm_threads(32, 32, k=16384)
+        with_split = gemm_threads(32, 32, 16384, V100_SMS)
         without = gemm_tiles(32, 32)[2] * 256
         assert with_split >= 8 * without
+
+    def test_split_k_follows_the_device_sm_count(self):
+        """launch_gemm sizes split-K from the device it launches on."""
+        def launched_threads(num_sms):
+            sim = SimulationConfig(device=DeviceConfig(num_sms=num_sms))
+            device = SimulatedGPU(sim=sim)
+            seen = []
+            device.add_launch_listener(
+                lambda launch: seen.append(launch.descriptor.threads))
+            launch_gemm(device, "wgrad", 64, 32768, 64)
+            return seen[0]
+
+        v100, half = launched_threads(V100_SMS), launched_threads(40)
+        assert v100 == gemm_threads(64, 64, 32768, V100_SMS)
+        assert half == gemm_threads(64, 64, 32768, 40)
+        # one output tile: split-K fills 2 waves of blocks, so 40 SMs
+        # split the reduction 80 ways where the V100's 80 SMs split it 128
+        assert (half, v100) == (80 * 256, 128 * 256)
 
     def test_unit_efficiency_slows_conv(self):
         conv = KernelDescriptor(

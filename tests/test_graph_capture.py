@@ -44,9 +44,9 @@ def steady_baselines():
     setting and every capture run is compared against the matching one.
     """
     return {
-        enabled: executor.capture_suite(mode="steady",
-                                        analysis_cache_enabled=enabled,
-                                        jobs=1, cache=False)
+        enabled: executor.suite("capture_fingerprint", mode="steady",
+                                analysis_cache_enabled=enabled,
+                                jobs=1, cache=False)
         for enabled in (True, False)
     }
 
@@ -56,9 +56,9 @@ class TestDifferentialReplay:
     @pytest.mark.parametrize("cache_enabled", [True, False])
     def test_replay_matches_dispatch(self, steady_baselines, jobs,
                                      cache_enabled):
-        replayed = executor.capture_suite(mode="capture",
-                                          analysis_cache_enabled=cache_enabled,
-                                          jobs=jobs, cache=False)
+        replayed = executor.suite("capture_fingerprint", mode="capture",
+                                  analysis_cache_enabled=cache_enabled,
+                                  jobs=jobs, cache=False)
         assert sorted(replayed) == sorted(KEYS)
         for key in KEYS:
             steady, capture = steady_baselines[cache_enabled], replayed[key]

@@ -8,9 +8,11 @@ serial, on pool workers, or with the profile cache on or off.
 
 import pytest
 
-from repro.core import characterize, executor, registry
+from repro.core import characterize, registry
 from repro.testing import golden
 from tests.golden_matrix import GoldenMatrix, canonical
+
+KIND = "memstats"
 
 # two cheap workloads exercise the determinism matrix; CI verifies all nine
 KEYS = ["DGCN", "KGNNL"]
@@ -19,37 +21,34 @@ KEYS = ["DGCN", "KGNNL"]
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", sorted(registry.WORKLOAD_KEYS))
     def test_snapshot_committed_for_every_workload(self, key):
-        report = golden.load_memory_golden(key)
+        report = golden.load(KIND, key)
         assert report["workload"] == key
         assert report["version"] == 1
         assert report["peak_live_bytes"] > 0
         assert report["memory_digest"]
 
     def test_fresh_reports_match_goldens(self):
-        diffs = golden.verify_memory_goldens(KEYS)
+        diffs = golden.verify(KIND, KEYS)
         assert diffs == {key: [] for key in KEYS}
 
     def test_compare_reports_digest_drift(self):
-        expected = golden.load_memory_golden("DGCN")
+        expected = golden.load(KIND, "DGCN")
         mutated = dict(expected)
         mutated["peak_live_bytes"] = expected["peak_live_bytes"] + 512
-        diffs = golden.compare_memory_fingerprints(expected, mutated)
+        diffs = golden.compare(KIND, expected, mutated)
         assert any(d.startswith("peak_live_bytes") for d in diffs)
         # the digest line fires too: the canonical payload changed
         mutated["memory_digest"] = "deadbeef"
-        diffs = golden.compare_memory_fingerprints(expected, mutated)
+        diffs = golden.compare(KIND, expected, mutated)
         assert any(d.startswith("memory_digest") for d in diffs)
 
 
 class TestDeterminism(GoldenMatrix):
+    kind = KIND
     keys = KEYS
 
     def run_single(self):
         return characterize.measure_memory("DGCN", scale="test", epochs=1)
-
-    def run_suite(self, *, jobs=None, cache=None):
-        return executor.memstats_suite(KEYS, scale="test", epochs=1,
-                                       jobs=jobs, cache=cache)
 
     def test_uncached_run_matches_cache_population(self, tmp_path):
         from repro.core.cache import ProfileCache
