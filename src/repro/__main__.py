@@ -13,9 +13,7 @@ Usage::
     python -m repro memstats               # peak_mem table, whole suite
     python -m repro golden                 # diff kernel streams vs snapshots
     python -m repro golden --update        # regenerate tests/golden/*.json
-    python -m repro golden --traces        # diff timeline traces vs snapshots
-    python -m repro golden --memory        # diff HBM reports vs snapshots
-    python -m repro golden --fused         # diff fused replay streams
+    python -m repro golden --memory DGCN   # one family, one key
     python -m repro bench                  # cold/parallel/warm suite timings
     python -m repro bench --capture-replay # replay epochs from a captured plan
     python -m repro bench --workload ARGA  # one workload's hot path, isolated
@@ -23,39 +21,37 @@ Usage::
     python -m repro trace tlstm --gpus 4 -o trace.json
     python -m repro serve psage-mvl --qps 100     # serving-latency report
     python -m repro serve dgcn --arrival bursty --batch-max 16 -o serve.json
-    python -m repro golden --serve         # diff serving reports vs snapshots
     python -m repro sample arga            # mini-batch sampled-training report
     python -m repro sample arga --nodes 1000000 --strict   # 10^6-node graph
     python -m repro sample psage-mvl --fanouts 10,5 --prefetch-depth 4
     python -m repro sample                 # prefetch-vs-sync BENCH_sample.json
-    python -m repro golden --sample        # diff sampling reports vs snapshots
     python -m repro shard arga-p4          # partition-parallel training report
     python -m repro shard arga --parts 4 --nodes 600000 --feat-dim 8192 --strict
     python -m repro shard arga --parts 4 --offload     # out-of-core staging
     python -m repro shard                  # capacity frontier BENCH_shard.json
-    python -m repro golden --shard         # diff sharded reports vs snapshots
     python -m repro insights dgcn          # roofline/bottleneck attribution
     python -m repro insights dgcn --gpus 2 -o insights.json
     python -m repro insights --diff old.json new.json  # differential diagnosis
-    python -m repro golden --insights      # diff insights reports vs snapshots
 
-Suite-level commands accept ``--jobs N`` (characterize independent
-workloads on N worker processes) and ``--no-cache`` (recompute instead of
-replaying unchanged profiles from the persistent on-disk cache).
-``profile``, ``trace`` and ``memstats`` accept ``--metrics`` (dump the
-process-wide metrics registry in Prometheus text format afterwards) and
-``--metrics-output FILE`` (write the canonical-JSON snapshot there, plus a
-sibling ``.prom`` Prometheus dump).
+Each command takes only the options it reads (``python -m repro CMD -h``).
+The report commands are the :mod:`repro.core.kinds` rows with a renderer:
+keys are case-insensitive, an option left out takes the row's default
+(``shard``: the named config's), ``-o`` exports the run and ``--metrics`` /
+``--metrics-output FILE`` dump the metrics registry.  An unknown key or a
+contradictory option exits 2 with the reason on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from . import GNNMark
-from .core import executor, kinds, profile_workload
+from .core import executor, kinds
 
 FIGURES = {
     "fig2": "render_op_breakdown",
@@ -68,40 +64,377 @@ FIGURES = {
 }
 
 
-def _print_timeline_summary(summary: dict) -> None:
-    if not summary:
-        return
-    phases = ", ".join(f"{name} {frac * 100:.1f}%"
-                       for name, frac in summary["phase_occupancy"].items())
-    print(f"   timeline: {summary['span_count']} spans,"
-          f" {summary['idle_fraction'] * 100:.1f}% idle,"
-          f" {summary['compute_transfer_overlap'] * 100:.1f}%"
-          f" compute/transfer overlap")
-    if phases:
-        print(f"   phases:   {phases}")
+def _int_list(text: str) -> tuple:
+    return tuple(int(f) for f in text.split(","))
 
 
-def _resolve_workload(name: str) -> str:
-    """Case-insensitive workload lookup (``dgcn`` → ``DGCN``)."""
-    from .core import registry
+# -- options ------------------------------------------------------------------
+# Each option is declared once, keyed by its namespace destination, as
+# ``(help, argparse keywords)``; its flag is ``--<dest>`` unless FLAGS says
+# otherwise.  Run parameters (PARAMS) carry no default: left out of the argv
+# they are absent from the namespace, and the command's row in
+# repro.core.kinds (or the library function it calls) supplies the value.
 
-    for key in registry.WORKLOAD_KEYS:
-        if key.lower() == name.lower():
-            return key
-    raise SystemExit(f"unknown workload {name!r}; "
-                     f"have {sorted(registry.WORKLOAD_KEYS)}")
+INT, FLOAT, BOOL = dict(type=int), dict(type=float), dict(action="store_true")
 
+PARAMS = {
+    "scale": ("workload configs", dict(choices=["test", "profile",
+                                                "scaling"])),
+    "epochs": ("training epochs", INT),
+    "seed": ("RNG seed", INT),
+    "strict": ("fail fast: check GPU-model invariants on every record "
+               "('profile'), raise when simulated HBM overflows", BOOL),
+    "num_gpus": ("simulated devices (multi-GPU runs trace the DDP "
+                 "allreduce)", dict(INT, metavar="GPUS")),
+    "gpus": ("simulated devices", INT),
+    "qps": ("mean request arrivals per simulated second", FLOAT),
+    "arrival": ("arrival process (bursty: 2-state MMPP, same mean qps)",
+                dict(choices=["poisson", "bursty"])),
+    "batch_max": ("dynamic batcher size cap", INT),
+    "max_wait_us": ("longest the batcher may hold the queue head "
+                    "(simulated microseconds)", FLOAT),
+    "requests": ("number of requests to generate", INT),
+    "fanouts": ("comma-separated per-layer neighbor fanouts, outermost "
+                "first", dict(type=_int_list)),
+    "batch_size": ("seeds per mini-batch", INT),
+    "prefetch_depth": ("bounded prefetch queue depth (0: synchronous)", INT),
+    "nodes": ("synthesize a citation graph of this many nodes", INT),
+    "parts": ("number of graph partitions", INT),
+    "offload": ("stage partitions out-of-core through one device's HBM "
+                "instead of one GPU per part", BOOL),
+    "feat_dim": ("synthetic feature width", INT),
+}
+
+OPTIONS = {
+    "jobs": ("worker processes (default: $REPRO_JOBS or serial)", INT),
+    "no_cache": ("always recompute; skip the persistent profile cache",
+                 BOOL),
+    "metrics": ("dump the metrics registry (Prometheus text) afterwards",
+                BOOL),
+    "metrics_output": ("write the metrics snapshot as canonical JSON, plus "
+                       "a sibling .prom dump", dict(metavar="FILE")),
+    "output": ("output file", {}),
+    "baseline": ("committed baseline JSON; exit 1 if the report regresses "
+                 "against it", {}),
+    "update": ("regenerate snapshots instead of diffing", BOOL),
+    "diff": ("diagnose the delta between two saved reports (insights JSON "
+             "or any bench payload/baseline) instead of running a workload",
+             dict(nargs=2, metavar=("REFERENCE", "MEASURED"))),
+    "quick": ("time the fast test-scale configs", BOOL),
+    "capture_replay": ("capture each workload's steady-state epoch and "
+                       "replay it instead of re-dispatching", BOOL),
+    "fuse": ("with capture/replay, also merge adjacent elementwise launches "
+             "(implies --capture-replay)", BOOL),
+    "bench_workload": ("time one workload's hot path in isolation "
+                       "(case-insensitive key; skips the suite timings)",
+                       dict(metavar="WORKLOAD")),
+    "hotpath_output": ("where to write the launch hot-path report",
+                       dict(default="BENCH_hotpath.json")),
+    **{row.flag: (f"operate on {row.name} snapshots "
+                  f"(tests/golden/{row.prefix}*.json)", BOOL)
+       for row in kinds.GOLDEN if row.flag},
+}
+
+FLAGS = {"num_gpus": ("--gpus",), "gpus": ("--gpus",),
+         "output": ("-o", "--output"), "bench_workload": ("--workload",)}
+
+
+def _add_option(sub, dest: str, row) -> None:
+    flags = FLAGS.get(dest, (f"--{dest.replace('_', '-')}",))
+    text, spec = PARAMS.get(dest) or OPTIONS[dest]
+    if dest in PARAMS:
+        spec = dict(spec, default=argparse.SUPPRESS)
+        if row is not None and spec.get("action") != "store_true":
+            default = row.params[dest]
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            text += (f" (default: the named config's, else {default})"
+                     if row.params_hook else f" (default: {default})")
+    sub.add_argument(*flags, dest=dest, help=text, **spec)
+
+
+def _params(args, row=None) -> dict:
+    """The run parameters given on the command line, over ``row``'s
+    defaults."""
+    given = {name: value for name, value in vars(args).items()
+             if name in PARAMS}
+    return {**row.params, **given} if row else given
+
+
+def _cache(args) -> bool:
+    return not args.no_cache
+
+
+def _key(args, row, name: str) -> str:
+    """``name`` as one of ``row``'s keys, or exit 2 listing them."""
+    key = name.upper()
+    if key not in row.universe():
+        noun = ("workload" if row.key_field == "workload"
+                else f"{row.name} config")
+        args.parser.error(f"unknown {noun} {name!r}; "
+                          f"have {sorted(row.universe())}")
+    return key
+
+
+def _call(args, fn, params: dict, reads=None, **fixed):
+    """``fn(**params, **fixed)``; an option outside ``reads`` (default:
+    ``fn``'s parameters) exits 2."""
+    reads = inspect.signature(fn).parameters if reads is None else reads
+    unread = [f"--{name.replace('_', '-')}" for name in params
+              if name not in reads]
+    if unread:
+        args.parser.error(f"{', '.join(unread)}: only read with a key")
+    return fn(**params, **fixed)
+
+
+def _write_json(path: str, payload: dict, note: str = "") -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}{note}")
+
+
+def _gate(args, report: dict, check, summary) -> int:
+    """Gate a bench report against the committed ``--baseline``, if given:
+    exit 1 listing every regression, else print ``summary(baseline)``."""
+    if not args.baseline:
+        return 0
+    with open(args.baseline) as fh:
+        baseline = json.load(fh)
+    failures = check(report, baseline)
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    if failures:
+        return 1
+    print(f"baseline check ok ({summary(baseline)})")
+    return 0
+
+
+def _dump_metrics(args, manifest: dict | None = None) -> int:
+    """Dump the metrics registry if asked: Prometheus text to stdout, or
+    canonical JSON (with the run's ``runManifest``, when known) to
+    ``--metrics-output`` plus a sibling ``.prom`` dump.  The registry
+    digest and the Prometheus dump stay manifest-free."""
+    from .profiling import metrics
+
+    if not (args.metrics or args.metrics_output):
+        return 0
+    reg = metrics.registry()
+    if args.metrics_output is None:
+        print(f"\n# metrics registry (digest {reg.digest()[:12]})")
+        print(reg.to_prometheus(), end="")
+        return 0
+    path = Path(args.metrics_output)
+    payload = reg.snapshot()
+    if manifest is not None:
+        payload = dict(payload, runManifest=manifest)
+    path.write_text(reg.to_json(payload))
+    prom = path.with_suffix(".prom")
+    prom.write_text(reg.to_prometheus())
+    print(f"wrote {path} and {prom} (metrics digest {reg.digest()[:12]})")
+    return 0
+
+
+# -- report commands ----------------------------------------------------------
+
+def _manifest(row, report: dict) -> dict:
+    """The :class:`RunManifest` a report's exports embed."""
+    if "manifest" in report:  # insights reports carry their own
+        return report["manifest"]
+    from .profiling import insights
+
+    return insights.build_manifest(
+        report["workload"],
+        # shard runs have no registry scale: the kind stands in for it
+        scale=report.get("scale", row.name), epochs=report.get("epochs", 1),
+        seed=report["seed"], gpus=report.get("gpus", 1),
+        parts=report.get("parts", 1),
+        capture_replay=bool(report.get("captured_plans"))).as_dict()
+
+
+def _report(args) -> int:
+    """Run one report kind for one key, render it and export it."""
+    from .gpu.memory import OOMError
+    from .profiling import trace
+
+    row = kinds.get(args.command)
+    spec = _spec(row)
+    params = _params(args)
+    if args.workload is None or getattr(args, "diff", None):
+        return spec.keyless(args, params)
+    output = getattr(args, "output", None)
+    # named-config kinds validate keys (and list them) in their params hook
+    key = (args.workload.upper() if row.params_hook
+           else _key(args, row, args.workload))
+    try:
+        _, task = row.task(key, **params)
+        if spec.traced_runner:
+            report, timeline = kinds.resolve(spec.traced_runner)(
+                traced=output is not None, **task)
+        else:
+            report, timeline = kinds.resolve(row.runner)(**task), None
+    except ValueError as exc:  # contradictory options / unsupported key
+        args.parser.error(str(exc))
+    except OOMError as exc:
+        print(f"OOM under --strict: {exc}")
+        if spec.oom_hint:
+            print(spec.oom_hint)
+        return 1
+    print(kinds.resolve(row.renderer)(report))
+    manifest = _manifest(row, report)
+    if timeline is not None:
+        out = output or f"{report['workload']}_{row.name}.json"
+        trace.validate_chrome(timeline.to_chrome(manifest=manifest))
+        timeline.write(out, manifest=manifest)
+        print(f"wrote {out}  (load in https://ui.perfetto.dev or "
+              f"chrome://tracing)")
+    elif output:
+        digest = row.digest_field
+        _write_json(output, report, f"  ({digest.replace('_', ' ')} "
+                                    f"{report[digest][:12]})")
+    return _dump_metrics(args, manifest)
+
+
+def _memstats_suite(args, params: dict) -> int:
+    from .profiling.report import format_memory_table
+
+    print(format_memory_table(executor.suite(
+        "memstats", jobs=args.jobs, cache=_cache(args), **params)))
+    return _dump_metrics(args)
+
+
+def _sample_bench(args, params: dict) -> int:
+    # the prefetch-vs-synchronous comparison (BENCH_sample.json), gated like
+    # the launch hot-path bench — but on simulated-clock numbers, so strictly
+    report = _call(args, executor.benchmark_sample, params, jobs=args.jobs,
+                   cache=_cache(args))
+    print(f"mini-batch loader: prefetch_depth={report['prefetch_depth']} vs"
+          f" synchronous ({report['epochs']} epoch(s),"
+          f" scale={report['scale']},"
+          f" fanouts={'x'.join(str(f) for f in report['fanouts'])},"
+          f" batch={report['batch_size']}):")
+    print(f"  {'workload':<12}{'sync ep/s':>12}{'prefetch ep/s':>15}"
+          f"{'speedup':>9}{'stall sync':>12}{'stall pre':>11}")
+    for key, row in report["workloads"].items():
+        print(f"  {key:<12}{row['sync_epochs_per_s']:>12.2f}"
+              f"{row['prefetch_epochs_per_s']:>15.2f}"
+              f"{row['speedup']:>8.2f}x"
+              f"{row['sync_stall_s'] * 1e3:>10.2f}ms"
+              f"{row['prefetch_stall_s'] * 1e3:>9.2f}ms")
+    print(f"  {'suite':<12}{'':>12}{'':>15}{report['speedup']:>8.2f}x")
+    _write_json(args.output or "BENCH_sample.json", report)
+    return (_gate(args, report, executor.check_sample_regression,
+                  lambda base: f"committed speedup"
+                               f" {base.get('speedup', 0.0):.3f}x, measured"
+                               f" {report['speedup']:.3f}x")
+            or _dump_metrics(args))
+
+
+def _shard_bench(args, params: dict) -> int:
+    # the capacity-frontier study (BENCH_shard.json): the largest trainable
+    # node count per device configuration, gated exactly (simulated clock),
+    # so its ladder, width and epochs stay those of the committed baseline
+    report = _call(args, executor.benchmark_shard, params, reads=("seed",),
+                   jobs=args.jobs, cache=_cache(args))
+    print(f"capacity frontier (feat_dim={report['feat_dim']},"
+          f" hidden={report['hidden']}, {report['epochs']} epoch(s),"
+          f" ladder {report['ladder'][0]}..{report['ladder'][-1]} nodes):")
+    print(f"  {'config':<10}{'parts':>6}{'offload':>9}{'frontier':>10}"
+          f"{'peak GB':>9}")
+    for label, cfg in report["configs"].items():
+        frontier = cfg["frontier"]
+        peak = (cfg["points"][str(frontier)]["peak_reserved_bytes"] / 2**30
+                if frontier else 0.0)
+        print(f"  {label:<10}{cfg['parts']:>6}"
+              f"{'yes' if cfg['offload'] else 'no':>9}"
+              f"{frontier:>10}{peak:>9.2f}")
+    _write_json(args.output or "BENCH_shard.json", report)
+    return (_gate(args, report, executor.check_shard_regression,
+                  lambda base: f"frontiers {base.get('frontier', {})}"
+                               f" reproduced exactly")
+            or _dump_metrics(args))
+
+
+def _insights_diff(args, params: dict) -> int:
+    from .profiling import insights
+    from .profiling.report import format_insights_diff
+
+    if not args.diff:
+        args.parser.error("the 'insights' command needs a workload key, e.g. "
+                          "`python -m repro insights dgcn` "
+                          "(or --diff REFERENCE.json MEASURED.json)")
+    unread = [*(f"--{name.replace('_', '-')}" for name in params),
+              *(["--metrics"] if args.metrics else []),
+              *(["--metrics-output"] if args.metrics_output else []),
+              *([args.workload] if args.workload else [])]
+    if unread:
+        args.parser.error(f"{', '.join(unread)}: not read with --diff")
+    reference, measured = (json.loads(Path(path).read_text())
+                           for path in args.diff)
+    diff = insights.diff_insights(reference, measured)
+    print(format_insights_diff(diff))
+    if args.output:
+        _write_json(args.output, diff)
+    return 0
+
+
+class Report(NamedTuple):
+    """What a report command adds to its :mod:`repro.core.kinds` row:
+    options beyond the row's parameters, the ``"module:function"`` returning
+    ``(report, timeline)`` when its runs export a Chrome trace (else the
+    row's runner runs), what it does without a key (``None``: the key is
+    required) and what to print after an ``OOMError``.  A row with a
+    renderer and no entry here gets the defaults."""
+
+    help: str
+    options: tuple = ()
+    traced_runner: Optional[str] = None
+    keyless: Optional[Callable] = None
+    oom_hint: str = ""
+
+
+REPORTS = {
+    "memstats": Report("HBM allocator report for one workload; the suite's "
+                       "peak_mem table without a key",
+                       ("jobs", "no_cache"), keyless=_memstats_suite),
+    "trace": Report("Chrome-format kernel timeline of one workload",
+                    ("output",), "repro.profiling.trace:trace_run"),
+    "serve": Report("serving-latency report for one workload", ("output",),
+                    "repro.serve.server:serve_run"),
+    "sample": Report("mini-batch sampled-training report; the "
+                     "prefetch-vs-sync benchmark without a key",
+                     ("output", "jobs", "no_cache", "baseline"),
+                     "repro.train.loader:sample_run", _sample_bench),
+    "shard": Report("partition-parallel training report; the capacity "
+                    "frontier benchmark without a key",
+                    ("output", "jobs", "no_cache", "baseline"),
+                    "repro.train.sharded:shard_run", _shard_bench,
+                    "shard the graph over more --parts, or stage it with "
+                    "--offload"),
+    "insights": Report("roofline/bottleneck attribution of one workload, or "
+                       "--diff of two saved reports", ("output", "diff"),
+                       keyless=_insights_diff),
+}
+
+
+def _spec(row) -> Report:
+    return REPORTS.get(row.name) or Report(f"{row.name} report")
+
+
+# -- the other commands -------------------------------------------------------
 
 def _print_profile_stats(key: str, profile) -> None:
+    from .profiling.report import format_timeline_summary
+
     print(f"== {key} ({len(profile.epoch_times)} epoch(s),"
           f" {profile.launch_count} kernels,"
           f" {profile.sim_time_s * 1e3:.2f} ms simulated)")
-    hits = getattr(profile, "analysis_hits", 0)
-    misses = getattr(profile, "analysis_misses", 0)
+    hits, misses = profile.analysis_hits, profile.analysis_misses
     if hits + misses:
         print(f"   analysis cache: {hits}/{hits + misses} hits"
               f" ({hits / (hits + misses) * 100:.1f}%)")
-    _print_timeline_summary(getattr(profile, "timeline_summary", {}))
+    for line in format_timeline_summary(profile.timeline_summary):
+        print(line)
     for stats in profile.kernels.top_kernels(10):
         share = stats.total_time_s / profile.kernels.total_time_s * 100
         print(f"  {stats.name:<28} {stats.op_class.value:<12}"
@@ -109,132 +442,77 @@ def _print_profile_stats(key: str, profile) -> None:
               f" ({share:4.1f}%)")
 
 
-def _print_profile(mark: GNNMark, key: str, epochs: int,
-                   strict: bool = False) -> None:
-    profile = profile_workload(key, scale=mark.scale, epochs=epochs,
-                               seed=mark.seed, strict=strict)
-    _print_profile_stats(key, profile)
+def _profile(args) -> int:
+    from .core import profile_workload
 
-
-def _print_profile_suite(mark: GNNMark, epochs: int, strict: bool,
-                         jobs: int | None, cache) -> None:
-    suite = executor.run_suite(scale=mark.scale, epochs=epochs,
-                               seed=mark.seed, strict=strict, jobs=jobs,
-                               cache=cache)
-    for key, profile in suite.profiles.items():
-        _print_profile_stats(key, profile)
-        print()
-
-
-def _print_memory(mark: GNNMark) -> None:
-    print(f"{'workload':<12}{'model MB':>10}{'data MB/epoch':>15}{'data %':>8}")
-    print("-" * 45)
-    for key in mark.workloads():
-        profile = profile_workload(key, scale=mark.scale, epochs=1,
-                                   seed=mark.seed)
-        mem = profile.memory_footprint()
-        print(f"{key:<12}{mem['model_bytes'] / 1e6:>10.2f}"
-              f"{mem['data_bytes_per_epoch'] / 1e6:>15.2f}"
-              f"{mem['data_fraction'] * 100:>7.1f}%")
-
-
-def _dump_metrics(output: str | None, manifest: dict | None = None) -> None:
-    """Print (or write) the process-wide metrics registry.
-
-    Without ``--metrics-output`` the Prometheus text format goes to stdout;
-    with it, the canonical-JSON snapshot lands at the given path and the
-    Prometheus dump beside it as ``<stem>.prom``.  When the caller knows
-    which run populated the registry, its :class:`RunManifest` is embedded
-    as a top-level ``runManifest`` key in the JSON export (the Prometheus
-    dump and the registry digest stay manifest-free).
-    """
-    from pathlib import Path
-
-    from .profiling import metrics
-
-    reg = metrics.registry()
-    if output is None:
-        print(f"\n# metrics registry (digest {reg.digest()[:12]})")
-        print(reg.to_prometheus(), end="")
-        return
-    path = Path(output)
-    payload = reg.snapshot()
-    if manifest is not None:
-        payload = dict(payload)
-        payload["runManifest"] = manifest
-    path.write_text(reg.to_json(payload))
-    prom = path.with_suffix(".prom")
-    prom.write_text(reg.to_prometheus())
-    print(f"wrote {path} and {prom} (metrics digest {reg.digest()[:12]})")
-
-
-def _print_memstats(args, cache) -> int:
-    from .core import characterize, executor
-    from .profiling.report import format_memory_table
-
-    scale = args.scale or "test"
+    row = kinds.get("profile")
+    params = _params(args, row)
     if args.workload:
-        key = _resolve_workload(args.workload)
-        report = characterize.measure_memory(key, scale=scale,
-                                             epochs=args.epochs,
-                                             seed=args.seed,
-                                             strict=args.strict)
-        cap = report["capacity_bytes"]
-        print(f"== {key} (scale={scale}, epochs={args.epochs}): simulated HBM")
-        print(f"   peak live     {report['peak_live_bytes'] / 1e6:10.2f} MB")
-        print(f"   peak reserved {report['peak_reserved_bytes'] / 1e6:10.2f} MB"
-              f"  ({report['utilization'] * 100:.2f}% of"
-              f" {cap / 2**30:.0f} GiB capacity)")
-        print(f"   live at end   {report['live_bytes'] / 1e6:10.2f} MB"
-              f"  (reserved {report['reserved_bytes'] / 1e6:.2f} MB,"
-              f" fragmentation {report['fragmentation'] * 100:.1f}%)")
-        print(f"   allocator     {report['alloc_count']} allocs /"
-              f" {report['free_count']} frees,"
-              f" {report['segment_allocs']} segment allocs,"
-              f" {report['bucket_reuse_count']} bucket reuses,"
-              f" internal frag {report['internal_fragmentation'] * 100:.1f}%")
-        if report["oom_events"]:
-            print(f"   OOM           {report['oom_events']} capacity"
-                  f" violation(s) — rerun with --strict to raise")
-        print("   phase watermarks (peak live MB):")
-        for phase, peak in report["phase_watermarks"].items():
-            print(f"     {phase:<12}{peak / 1e6:10.2f}")
-        epochs = ", ".join(f"{w / 1e6:.2f}" for w in report["epoch_watermarks"])
-        print(f"   epoch watermarks (MB): {epochs}")
-        print("   top allocation labels (MB requested, count):")
-        for name, nbytes, count in report["top_labels"]:
-            print(f"     {name:<20}{nbytes / 1e6:10.2f}  x{count}")
-        print(f"   memory digest {report['memory_digest'][:16]}")
+        key = _key(args, row, args.workload)
+        _print_profile_stats(key, profile_workload(key, **params))
     else:
-        reports = executor.suite("memstats", scale=scale, epochs=args.epochs,
-                                 seed=args.seed, strict=args.strict,
-                                 jobs=args.jobs, cache=cache)
-        print(format_memory_table(reports))
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
+        suite = executor.run_suite(jobs=args.jobs, cache=_cache(args),
+                                   **params)
+        for key, profile in suite.profiles.items():
+            _print_profile_stats(key, profile)
+            print()
+    return _dump_metrics(args)
+
+
+def _table1(args) -> int:
+    print(GNNMark().render_table1())
     return 0
 
 
-def _run_golden(args, cache) -> int:
+def _memory(args) -> int:
+    from .core import profile_workload
+
+    params = _params(args, kinds.get("profile"))
+    print(f"{'workload':<12}{'model MB':>10}{'data MB/epoch':>15}{'data %':>8}")
+    print("-" * 45)
+    for key in GNNMark().workloads():
+        mem = profile_workload(key, scale=params["scale"], epochs=1,
+                               seed=params["seed"]).memory_footprint()
+        print(f"{key:<12}{mem['model_bytes'] / 1e6:>10.2f}"
+              f"{mem['data_bytes_per_epoch'] / 1e6:>15.2f}"
+              f"{mem['data_fraction'] * 100:>7.1f}%")
+    return 0
+
+
+def _figures(args) -> int:
+    params = _params(args, kinds.get(
+        "scaling" if args.command == "fig9" else "profile"))
+    mark = GNNMark(scale=params["scale"], seed=params["seed"])
+    if args.command != "fig9":
+        suite = mark.characterize_suite(epochs=params["epochs"],
+                                        jobs=args.jobs, cache=_cache(args))
+        for fig in FIGURES if args.command == "all" else [args.command]:
+            print(getattr(mark, FIGURES[fig])(suite))
+            print()
+    if args.command == "all":
+        print(mark.render_table1())
+        print()
+    if args.command in ("fig9", "all"):
+        print(mark.render_scaling(mark.scaling_study(
+            epochs=params["epochs"], jobs=args.jobs, cache=_cache(args))))
+    return 0
+
+
+def _golden(args) -> int:
     from .testing import golden
 
     row = next((r for r in kinds.GOLDEN if r.flag and getattr(args, r.flag)),
                kinds.get("fingerprint"))
-    keys = [args.workload.upper()] if args.workload else list(row.keys())
-    unknown = [k for k in keys if k not in row.universe()]
-    if unknown:
-        noun = ("workload" if row.key_field == "workload"
-                else f"{row.name} config")
-        print(f"unknown {noun}(s) {unknown}; have {sorted(row.universe())}")
-        return 2
+    keys = ([_key(args, row, args.workload)] if args.workload
+            else list(row.keys()))
     if args.update:
         for path in golden.update(row.name, keys, jobs=args.jobs,
-                                  cache=cache):
+                                  cache=_cache(args)):
             print(f"wrote {path}")
         return 0
     failed = 0
     for key, diffs in golden.verify(row.name, keys, jobs=args.jobs,
-                                    cache=cache).items():
+                                    cache=_cache(args)).items():
         if not diffs:
             print(f"{key}: ok")
         elif len(diffs) == 1 and diffs[0].startswith("missing snapshot"):
@@ -251,431 +529,34 @@ def _run_golden(args, cache) -> int:
     return 1 if failed else 0
 
 
-def _print_serve_report(report: dict) -> None:
-    lat, wait, comp = (report["latency_us"], report["wait_us"],
-                       report["compute_us"])
-    print(f"== {report['workload']} (scale={report['scale']},"
-          f" arrival={report['arrival']}, qps={report['qps']:g},"
-          f" batch_max={report['batch_max']},"
-          f" max_wait={report['max_wait_us']:g} us)")
-    print(f"   served        {report['completed']} requests in"
-          f" {report['duration_s'] * 1e3:.2f} ms simulated"
-          f"  ({report['throughput_rps']:.1f} req/s)")
-    print(f"   {'':<10}{'p50':>10}{'p95':>10}{'p99':>10}{'max':>10}")
-    for name, block in (("latency", lat), ("wait", wait), ("compute", comp)):
-        print(f"   {name:<10}{block['p50']:>10.1f}{block['p95']:>10.1f}"
-              f"{block['p99']:>10.1f}{block['max']:>10.1f}  us")
-    hist = ", ".join(
-        f"{size}x{count}"
-        for size, count in sorted(report["batch_size_hist"].items(),
-                                  key=lambda kv: int(kv[0]))
-    )
-    print(f"   batches       {report['batches']}"
-          f" (mean size {report['mean_batch_size']:.2f}; {hist})")
-    print(f"   fast path     {report['captured_plans']} captured plan(s),"
-          f" {report['replayed_batches']} replayed batch(es)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s)")
-    print(f"   serve digest  {report['serve_digest'][:16]}")
-
-
-def _run_serve(args) -> int:
-    from .profiling import trace as trace_mod
-    from .serve import serve_run
-
-    if not args.workload:
-        print("the 'serve' command needs a workload key, e.g. "
-              "`python -m repro serve psage-mvl --qps 100`")
-        return 2
-    key = _resolve_workload(args.workload)
-    try:
-        report, timeline = serve_run(
-            key, scale=args.scale or "test", qps=args.qps,
-            arrival=args.arrival, batch_max=args.batch_max,
-            max_wait_us=args.max_wait_us, requests=args.requests,
-            seed=args.seed, strict=args.strict,
-            traced=args.output is not None)
-    except ValueError as exc:  # contradictory knobs / unserveable workload
-        print(exc)
-        return 2
-    _print_serve_report(report)
-    if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale=args.scale or "test", epochs=1, seed=args.seed,
-            capture_replay=bool(report.get("captured_plans"))).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
-
-
-def _print_sample_report(report: dict) -> None:
-    fanouts = "x".join(str(f) for f in report["fanouts"])
-    print(f"== {report['workload']} (scale={report['scale']},"
-          f" fanouts={fanouts}, batch={report['batch_size']},"
-          f" prefetch_depth={report['prefetch_depth']},"
-          f" epochs={report['epochs']})")
-    print(f"   graph         {report['graph_nodes']} nodes,"
-          f" {report['graph_edges']} edges,"
-          f" {report['train_seeds']} train seeds")
-    print(f"   sampler       {report['batches']} batches"
-          f" ({report['batches_per_epoch']}/epoch),"
-          f" {report['edges_sampled']} edges drawn,"
-          f" {report['sample_cost_s'] * 1e3:.2f} ms host sampling")
-    print(f"   loader stall  {report['loader_stall_s'] * 1e3:.2f} ms"
-          f" ({report['loader_stall_fraction'] * 100:.1f}% of"
-          f" {report['sim_wall_s'] * 1e3:.2f} ms simulated wall)")
-    print(f"   queue         occupancy mean"
-          f" {report['queue_occupancy_mean']:.2f},"
-          f" max {report['queue_occupancy_max']}")
-    print(f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
-          f" simulated second ({report['kernels']} kernels,"
-          f" {report['h2d_bytes'] / 1e6:.2f} MB H2D)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s)")
-    print(f"   sample digest {report['sample_digest'][:16]}")
-
-
-def _run_sample_cmd(args, cache) -> int:
-    from .profiling import trace as trace_mod
-    from .train.loader import sample_run
-
-    fanouts = tuple(int(f) for f in args.fanouts.split(","))
-    epochs = args.epochs if args.epochs > 1 else 2
-    if not args.workload:
-        return _run_bench_sample(args, fanouts, epochs, cache)
-    key = _resolve_workload(args.workload)
-    try:
-        report, timeline = sample_run(
-            key, scale=args.scale or "test", fanouts=fanouts,
-            batch_size=args.batch_size, prefetch_depth=args.prefetch_depth,
-            epochs=epochs, nodes=args.nodes, seed=args.seed,
-            strict=args.strict, traced=args.output is not None)
-    except ValueError as exc:  # contradictory knobs / unsampleable workload
-        print(exc)
-        return 2
-    _print_sample_report(report)
-    if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale=args.scale or "test", epochs=epochs,
-            seed=args.seed).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
-
-
-def _run_bench_sample(args, fanouts: tuple, epochs: int, cache) -> int:
-    # suite mode: the prefetch-vs-synchronous comparison (BENCH_sample.json),
-    # gated against a committed baseline like the launch hot-path bench —
-    # except these are simulated-clock numbers, so the gate can be strict
-    report = executor.benchmark_sample(scale=args.scale or "test",
-                                       fanouts=fanouts,
-                                       batch_size=args.batch_size,
-                                       prefetch_depth=args.prefetch_depth,
-                                       epochs=epochs, seed=args.seed,
-                                       jobs=args.jobs, cache=cache)
-    print(f"mini-batch loader: prefetch_depth={report['prefetch_depth']} vs"
-          f" synchronous ({report['epochs']} epoch(s),"
-          f" scale={report['scale']},"
-          f" fanouts={'x'.join(str(f) for f in report['fanouts'])},"
-          f" batch={report['batch_size']}):")
-    print(f"  {'workload':<12}{'sync ep/s':>12}{'prefetch ep/s':>15}"
-          f"{'speedup':>9}{'stall sync':>12}{'stall pre':>11}")
-    for key, row in report["workloads"].items():
-        print(f"  {key:<12}{row['sync_epochs_per_s']:>12.2f}"
-              f"{row['prefetch_epochs_per_s']:>15.2f}"
-              f"{row['speedup']:>8.2f}x"
-              f"{row['sync_stall_s'] * 1e3:>10.2f}ms"
-              f"{row['prefetch_stall_s'] * 1e3:>9.2f}ms")
-    print(f"  {'suite':<12}{'':>12}{'':>15}{report['speedup']:>8.2f}x")
-    out = args.output or "BENCH_sample.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_sample_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (committed speedup"
-              f" {baseline.get('speedup', 0.0):.3f}x,"
-              f" measured {report['speedup']:.3f}x)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
-
-
-def _print_shard_report(report: dict) -> None:
-    part = report["partition"]
-    print(f"== {report['name']} ({report['workload']},"
-          f" mode={report['mode']}, parts={report['parts']},"
-          f" gpus={report['gpus']},"
-          f" offload={'yes' if report['offload'] else 'no'},"
-          f" epochs={report['epochs']})")
-    print(f"   graph         {report['graph_nodes']} nodes,"
-          f" {report['graph_edges']} edges, feat_dim={report['feat_dim']},"
-          f" {report['train_nodes']} train seeds")
-    print(f"   partition     {part['method']}+lp{part['refine']}:"
-          f" cut {part['edge_cut']} ({part['cut_fraction'] * 100:.1f}%),"
-          f" balance {part['achieved_balance']:.3f},"
-          f" replication {part['replication_factor']:.2f}x")
-    print(f"   halo          {report['halo_exchanges']} exchange(s),"
-          f" {report['halo_bytes'] / 1e6:.2f} MB moved,"
-          f" {report['halo_time_s'] * 1e3:.3f} ms on the NVLink model")
-    print(f"   staging       {report['h2d_bytes'] / 1e6:.2f} MB H2D,"
-          f" {report['d2h_bytes'] / 1e6:.2f} MB D2H,"
-          f" {report['allreduce_bytes'] / 1e6:.2f} MB allreduced")
-    print(f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
-          f" simulated second ({report['kernels']} kernels,"
-          f" {report['sim_wall_s'] * 1e3:.2f} ms wall)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s) — rerun with --strict to raise")
-    if report["losses"]:
-        losses = ", ".join(f"{x:.6f}" for x in report["losses"])
-        print(f"   loss          {losses}")
-    print(f"   shard digest  {report['shard_digest'][:16]}"
-          f"  (halo trace {report['halo_trace_digest'][:12]})")
-
-
-def _run_shard_cmd(args, cache) -> int:
-    from .gpu.memory import OOMError
-    from .profiling import trace as trace_mod
-    from .train.sharded import resolve_shard_config, shard_run
-
-    if not args.workload:
-        return _run_bench_shard(args, cache)
-    try:
-        key, params = resolve_shard_config(args.workload.upper())
-    except ValueError as exc:
-        print(exc)
-        return 2
-    if args.parts is not None:
-        params["parts"] = args.parts
-    if args.offload:
-        params["offload"] = True
-    if args.nodes is not None:
-        params["nodes"] = args.nodes
-    if args.feat_dim is not None:
-        params["feat_dim"] = args.feat_dim
-    if args.epochs > 1:
-        params["epochs"] = args.epochs
-    params["seed"] = args.seed
-    params["strict"] = args.strict
-    try:
-        report, timeline = shard_run(key, traced=args.output is not None,
-                                     **params)
-    except ValueError as exc:  # contradictory knobs / unshardable workload
-        print(exc)
-        return 2
-    except OOMError as exc:
-        print(f"OOM under --strict: {exc}")
-        print("shard the graph over more --parts, or stage it with --offload")
-        return 1
-    _print_shard_report(report)
-    if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale="shard", epochs=report["epochs"], seed=args.seed,
-            gpus=report["gpus"], parts=report["parts"]).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
-
-
-def _run_bench_shard(args, cache) -> int:
-    # suite mode: the capacity-frontier study (BENCH_shard.json) — largest
-    # trainable node count per device configuration under the HBM model,
-    # gated exactly against a committed baseline (simulated => deterministic)
-    report = executor.benchmark_shard(epochs=1, seed=args.seed,
-                                      jobs=args.jobs, cache=cache)
-    print(f"capacity frontier (feat_dim={report['feat_dim']},"
-          f" hidden={report['hidden']}, {report['epochs']} epoch(s),"
-          f" ladder {report['ladder'][0]}..{report['ladder'][-1]} nodes):")
-    print(f"  {'config':<10}{'parts':>6}{'offload':>9}{'frontier':>10}"
-          f"{'peak GB':>9}")
-    for label, cfg in report["configs"].items():
-        frontier = cfg["frontier"]
-        peak = (cfg["points"][str(frontier)]["peak_reserved_bytes"] / 2**30
-                if frontier else 0.0)
-        print(f"  {label:<10}{cfg['parts']:>6}"
-              f"{'yes' if cfg['offload'] else 'no':>9}"
-              f"{frontier:>10}{peak:>9.2f}")
-    out = args.output or "BENCH_shard.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_shard_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (frontiers"
-              f" {baseline.get('frontier', {})} reproduced exactly)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
-
-
-def _run_insights_cmd(args) -> int:
-    from .profiling import insights
-    from .profiling.report import format_insights, format_insights_diff
-
-    if args.diff:
-        ref_path, new_path = args.diff
-        with open(ref_path) as fh:
-            reference = json.load(fh)
-        with open(new_path) as fh:
-            measured = json.load(fh)
-        diff = insights.diff_insights(reference, measured)
-        print(format_insights_diff(diff))
-        if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(diff, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.output}")
-        return 0
-    if not args.workload:
-        print("the 'insights' command needs a workload key, e.g. "
-              "`python -m repro insights dgcn` "
-              "(or --diff REFERENCE.json MEASURED.json)")
-        return 2
-    key = _resolve_workload(args.workload)
-    epochs = args.epochs if args.epochs > 1 else 2
-    try:
-        report = insights.insights_report(key, scale=args.scale or "test",
-                                          epochs=epochs, seed=args.seed,
-                                          gpus=args.gpus)
-    except ValueError as exc:  # e.g. whole-graph workloads at --gpus > 1
-        print(exc)
-        return 2
-    print(format_insights(report))
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}  (insights digest "
-              f"{report['insights_digest'][:12]})")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output, manifest=report["manifest"])
-    return 0
-
-
-def _run_trace(args) -> int:
-    from .profiling import insights, trace
-
-    key = _resolve_workload(args.workload) if args.workload else None
-    if key is None:
-        print("the 'trace' command needs a workload key, e.g. "
-              "`python -m repro trace dgcn`")
-        return 2
-    scale = args.scale or "test"
-    try:
-        # memory counter tracks ride along on single-device traces only
-        timeline = trace.trace_point(key, num_gpus=args.gpus, scale=scale,
-                                     epochs=args.epochs, seed=args.seed,
-                                     memory=args.gpus == 1)
-    except ValueError as exc:  # e.g. whole-graph workloads at --gpus > 1
-        print(exc)
-        return 2
-    manifest = insights.build_manifest(key, scale=scale, epochs=args.epochs,
-                                       seed=args.seed,
-                                       gpus=args.gpus).as_dict()
-    chrome = timeline.to_chrome(manifest=manifest)
-    trace.validate_chrome(chrome)
-    out = args.output or f"{key}_trace.json"
-    timeline.write(out, manifest=manifest)
-    summary = timeline.summary()
-    gpus = ", ".join(
-        f"gpu{pid} {dev['busy_s'] * 1e3:.2f} ms busy"
-        f" ({(1 - dev['idle_fraction']) * 100:.1f}%)"
-        for pid, dev in summary["devices"].items()
-    )
-    print(f"== {key} (scale={scale}, epochs={args.epochs},"
-          f" gpus={args.gpus}): {summary['wall_s'] * 1e3:.2f} ms wall")
-    print(f"   {gpus}")
-    _print_timeline_summary(summary)
-    print(f"wrote {out}  (load in https://ui.perfetto.dev or chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output, manifest=manifest)
-    return 0
-
-
-def _run_bench(args) -> int:
-    # the bench times the harness, not the workloads: test-scale configs by
-    # default (--quick forces them), full profile scale via --scale profile
-    scale = "test" if args.quick else (args.scale or "test")
+def _bench(args) -> int:
+    # the bench times the harness, not the workloads: every option left out
+    # takes the benchmark function's default (test scale; --quick forces it)
+    params = _params(args)
+    if args.quick:
+        params["scale"] = "test"
+    keys = None
     if args.bench_workload:
-        # single-workload mode: reproduce one workload's hot-path numbers in
-        # isolation (skips the suite-level cold/parallel/warm timings)
-        key = _resolve_workload(args.bench_workload)
-        return _run_bench_hotpath(args, scale, keys=[key])
-    report = executor.benchmark_suite(scale=scale, epochs=args.epochs,
-                                      seed=args.seed, jobs=args.jobs)
-    print(f"suite of {len(report['suite'])} workloads"
-          f" (scale={report['scale']}, epochs={report['epochs']},"
-          f" jobs={report['jobs']}):")
-    print(f"  cold serial    {report['cold_serial_s']:8.2f} s")
-    print(f"  cold parallel  {report['cold_parallel_s']:8.2f} s"
-          f"  ({report['parallel_speedup']:.2f}x)")
-    print(f"  warm cache     {report['warm_cache_s']:8.2f} s"
-          f"  ({report['warm_speedup']:.1f}x,"
-          f" {report['warm_cache_hits']} hits)")
-    out = args.output or "BENCH_suite.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    return _run_bench_hotpath(args, scale)
-
-
-def _run_bench_hotpath(args, scale: str,
-                       keys: list[str] | None = None) -> int:
+        # single-workload mode: one workload's hot-path numbers in isolation
+        # (skips the suite-level cold/parallel/warm timings)
+        keys = [_key(args, kinds.get("profile"), args.bench_workload)]
+    else:
+        report = executor.benchmark_suite(jobs=args.jobs, **params)
+        print(f"suite of {len(report['suite'])} workloads"
+              f" (scale={report['scale']}, epochs={report['epochs']},"
+              f" jobs={report['jobs']}):")
+        print(f"  cold serial    {report['cold_serial_s']:8.2f} s")
+        print(f"  cold parallel  {report['cold_parallel_s']:8.2f} s"
+              f"  ({report['parallel_speedup']:.2f}x)")
+        print(f"  warm cache     {report['warm_cache_s']:8.2f} s"
+              f"  ({report['warm_speedup']:.1f}x,"
+              f" {report['warm_cache_hits']} hits)")
+        _write_json(args.output or "BENCH_suite.json", report)
     # steady-state launch-path microbench: warm (analysis cache on) vs cold
     # (REPRO_ANALYSIS_CACHE=0 semantics) epochs/sec per workload
-    hotpath_epochs = args.epochs if args.epochs > 1 else 3
-    report = executor.benchmark_hotpath(keys=keys, scale=scale,
-                                        epochs=hotpath_epochs,
-                                        seed=args.seed,
+    report = executor.benchmark_hotpath(keys=keys,
                                         capture_replay=args.capture_replay,
-                                        fuse=args.fuse)
+                                        fuse=args.fuse, **params)
     mode = ("capture-replay+fuse" if report["fuse"]
             else "capture-replay" if report["capture_replay"]
             else "dispatch")
@@ -691,204 +572,83 @@ def _run_bench_hotpath(args, scale: str,
               f"{row['hit_rate'] * 100:>9.1f}%{replayed:>10}")
     print(f"  {'suite':<12}{report['warm_epochs_per_s']:>12.2f}"
           f"{report['cold_epochs_per_s']:>12.2f}{report['speedup']:>8.2f}x")
-    with open(args.hotpath_output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.hotpath_output}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_hotpath_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (committed speedup"
-              f" {baseline.get('speedup', 0.0):.2f}x,"
-              f" measured {report['speedup']:.2f}x)")
-    return 0
+    _write_json(args.hotpath_output, report)
+    return _gate(args, report, executor.check_hotpath_regression,
+                 lambda base: f"committed speedup"
+                              f" {base.get('speedup', 0.0):.2f}x, measured"
+                              f" {report['speedup']:.2f}x")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _commands() -> dict:
+    """``command -> (handler, row defaulting its parameters, options,
+    help)``; ``"KEY"``/``"KEY?"`` is a required/optional key positional."""
+    profile = kinds.get("profile")
+    figure = ("scale", "epochs", "seed", "jobs", "no_cache")
+    commands = {
+        "table1": (_table1, None, (), "Table I: the suite inventory"),
+        **{fig: (_figures, profile, figure, f"the paper's Figure {fig[3:]}")
+           for fig in FIGURES},
+        "fig9": (_figures, kinds.get("scaling"),
+                 ("epochs", "seed", "jobs", "no_cache"),
+                 "Figure 9: strong scaling over 1/2/4 GPUs"),
+        "all": (_figures, profile, figure, "every table and figure"),
+        "profile": (_profile, profile,
+                    ("KEY?", "scale", "epochs", "seed", "strict", "jobs",
+                     "no_cache", "metrics", "metrics_output"),
+                    "nvprof-style kernel profile of one workload or the "
+                    "suite"),
+        "memory": (_memory, profile, ("scale", "seed"),
+                   "model vs. data memory footprint per workload"),
+        "golden": (_golden, None,
+                   ("KEY?", "update", *(r.flag for r in kinds.GOLDEN
+                                        if r.flag), "jobs", "no_cache"),
+                   "diff fresh reports against tests/golden/ snapshots"),
+        "bench": (_bench, None,
+                  ("quick", "scale", "epochs", "seed", "jobs",
+                   "capture_replay", "fuse", "bench_workload", "output",
+                   "hotpath_output", "baseline"),
+                  "suite timings and the launch hot-path microbench"),
+    }
+    for row in kinds.TABLE:
+        if row.renderer:
+            report = _spec(row)
+            commands[row.name] = (
+                _report, row,
+                ("KEY?" if report.keyless else "KEY",
+                 *(name for name in row.params if name in PARAMS),
+                 *report.options, "metrics", "metrics_output"),
+                report.help)
+    return commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: one subcommand per command, each
+    with only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GNNMark reproduction: regenerate the paper's artifacts",
     )
-    parser.add_argument("command",
-                        choices=["table1", *FIGURES, "fig9", "all",
-                                 "profile", "memory", "memstats", "golden",
-                                 "bench", "trace", "serve", "sample",
-                                 "shard", "insights"],
-                        help="which artifact to regenerate")
-    parser.add_argument("workload", nargs="?",
-                        help="workload key (for 'profile', 'memstats', "
-                             "'golden', 'trace', 'serve', 'sample', 'shard' "
-                             "and 'insights'; case-insensitive for 'trace', "
-                             "'memstats', 'serve', 'sample', 'shard' and "
-                             "'insights')")
-    parser.add_argument("--epochs", type=int, default=1)
-    parser.add_argument("--scale", default=None,
-                        choices=["test", "profile", "scaling"],
-                        help="workload configs (default: profile; "
-                             "'bench' defaults to test)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for suite-level commands "
-                             "(default: $REPRO_JOBS or serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always recompute; skip the persistent profile "
-                             "cache")
-    parser.add_argument("--update", action="store_true",
-                        help="regenerate golden snapshots instead of diffing")
-    for row in kinds.GOLDEN:
-        if row.flag:
-            parser.add_argument(
-                f"--{row.flag}", action="store_true",
-                help=f"'golden': operate on {row.name} snapshots "
-                     f"(tests/golden/{row.prefix}*.json) instead of kernel "
-                     f"streams")
-    parser.add_argument("--diff", nargs=2,
-                        metavar=("REFERENCE", "MEASURED"),
-                        help="'insights': diagnose the delta between two "
-                             "saved reports (insights JSON or any bench "
-                             "payload/baseline) instead of running a "
-                             "workload")
-    parser.add_argument("--parts", type=int, default=None,
-                        help="'shard': number of graph partitions "
-                             "(default: the named config's, else 4)")
-    parser.add_argument("--offload", action="store_true",
-                        help="'shard': stage partitions out-of-core through "
-                             "one device's HBM instead of one GPU per part")
-    parser.add_argument("--feat-dim", type=int, default=None,
-                        help="'shard': synthetic feature width (default: the "
-                             "named config's, else 64)")
-    parser.add_argument("--fanouts", default="10,5",
-                        help="'sample': comma-separated per-layer neighbor "
-                             "fanouts, outermost first (default 10,5)")
-    parser.add_argument("--batch-size", type=int, default=64,
-                        help="'sample': seeds per mini-batch")
-    parser.add_argument("--prefetch-depth", type=int, default=2,
-                        help="'sample': bounded prefetch queue depth "
-                             "(0 = synchronous sampling)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="'sample': synthesize a citation graph of this "
-                             "many nodes instead of the registry dataset "
-                             "(ARGA only)")
-    parser.add_argument("--qps", type=float, default=100.0,
-                        help="'serve': mean request arrival rate "
-                             "(requests per simulated second)")
-    parser.add_argument("--arrival", choices=["poisson", "bursty"],
-                        default="poisson",
-                        help="'serve': arrival process (bursty = 2-state "
-                             "MMPP averaging the same qps)")
-    parser.add_argument("--batch-max", type=int, default=8,
-                        help="'serve': dynamic batcher size cap")
-    parser.add_argument("--max-wait-us", type=float, default=2000.0,
-                        help="'serve': longest the batcher may hold the "
-                             "queue head (simulated microseconds)")
-    parser.add_argument("--requests", type=int, default=256,
-                        help="'serve': number of requests to generate")
-    parser.add_argument("--capture-replay", action="store_true",
-                        help="'bench': capture each workload's steady-state "
-                             "epoch and replay it instead of re-dispatching "
-                             "(repro.gpu.graph_capture)")
-    parser.add_argument("--fuse", action="store_true",
-                        help="'bench': with capture/replay, also merge "
-                             "adjacent elementwise launches in the replayed "
-                             "plan (implies --capture-replay)")
-    parser.add_argument("--workload", dest="bench_workload", default=None,
-                        help="'bench': time a single workload's hot path in "
-                             "isolation (case-insensitive key; skips the "
-                             "suite-level timings)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="after 'profile'/'trace'/'memstats': dump the "
-                             "process-wide metrics registry (Prometheus text "
-                             "format)")
-    parser.add_argument("--metrics-output", default=None,
-                        help="write the metrics snapshot as canonical JSON "
-                             "to this file, plus a sibling .prom dump")
-    parser.add_argument("--gpus", type=int, default=1,
-                        help="'trace'/'insights': number of simulated "
-                             "devices (multi-GPU runs trace the DDP "
-                             "allreduce)")
-    parser.add_argument("--strict", action="store_true",
-                        help="validate GPU-model invariants on every record "
-                             "(the 'profile' command)")
-    parser.add_argument("--quick", action="store_true",
-                        help="'bench': time the fast test-scale configs")
-    parser.add_argument("-o", "--output", default=None,
-                        help="output file ('trace': the Chrome JSON, default "
-                             "<KEY>_trace.json; 'bench': the timing report, "
-                             "default BENCH_suite.json; 'insights': the full "
-                             "report or diff JSON)")
-    parser.add_argument("--hotpath-output", default="BENCH_hotpath.json",
-                        help="'bench': where to write the launch hot-path "
-                             "microbench report")
-    parser.add_argument("--baseline", default=None,
-                        help="'bench': committed hot-path baseline JSON; "
-                             "exit 1 if warm steady-state throughput "
-                             "regresses >25%% against it. 'sample' (suite "
-                             "mode): committed BENCH_sample baseline; exit 1 "
-                             "unless prefetch strictly beats synchronous. "
-                             "'shard' (suite mode): committed BENCH_shard "
-                             "baseline; exit 1 unless capacity frontiers "
-                             "reproduce exactly")
-    args = parser.parse_args(argv)
-    cache = False if args.no_cache else True
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, (handler, row, options, text) in _commands().items():
+        sub = commands.add_parser(name, help=text, description=text)
+        sub.set_defaults(handler=handler, parser=sub)
+        for dest in options:
+            if dest.startswith("KEY"):
+                named = row is not None and row.params_hook is not None
+                sub.add_argument(
+                    "workload", metavar="CONFIG" if named else "WORKLOAD",
+                    nargs="?" if dest == "KEY?" else None,
+                    help=("named config or " if named else "")
+                    + "workload key (case-insensitive)")
+            else:
+                _add_option(sub, dest, row)
+    return parser
 
-    if args.command == "golden":
-        return _run_golden(args, cache)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "insights":
-        return _run_insights_cmd(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "sample":
-        return _run_sample_cmd(args, cache)
-    if args.command == "shard":
-        return _run_shard_cmd(args, cache)
-    if args.command == "memstats":
-        return _print_memstats(args, cache)
 
-    mark = GNNMark(scale=args.scale or "profile", seed=args.seed)
-
-    if args.command == "table1":
-        print(mark.render_table1())
-        return 0
-    if args.command == "profile":
-        if args.workload:
-            _print_profile(mark, args.workload, args.epochs,
-                           strict=args.strict)
-        else:
-            _print_profile_suite(mark, args.epochs, args.strict, args.jobs,
-                                 cache)
-        if args.metrics or args.metrics_output:
-            _dump_metrics(args.metrics_output)
-        return 0
-    if args.command == "memory":
-        _print_memory(mark)
-        return 0
-    if args.command == "fig9":
-        print(mark.render_scaling(mark.scaling_study(
-            epochs=args.epochs, jobs=args.jobs, cache=cache)))
-        return 0
-
-    wanted = list(FIGURES) if args.command == "all" else [args.command]
-    suite = mark.characterize_suite(epochs=args.epochs, jobs=args.jobs,
-                                    cache=cache)
-    for fig in wanted:
-        print(getattr(mark, FIGURES[fig])(suite))
-        print()
-    if args.command == "all":
-        print(mark.render_table1())
-        print()
-        print(mark.render_scaling(mark.scaling_study(
-            epochs=args.epochs, jobs=args.jobs, cache=cache)))
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

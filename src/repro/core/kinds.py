@@ -10,8 +10,9 @@ committed snapshot under ``tests/golden/`` is named, reduced and compared.
 Everything else iterates this table instead of re-implementing it:
 :func:`repro.core.executor.execute_task` and
 :func:`repro.core.executor.suite`, the generic snapshot functions in
-:mod:`repro.testing.golden`, and ``python -m repro golden --<flag>``.
-Adding a report kind is adding a row.
+:mod:`repro.testing.golden`, ``python -m repro golden --<flag>``, and the
+CLI's report commands (one per row with a ``renderer``, its flags the
+row's parameters).  Adding a report kind is adding a row.
 
 Kind names are the profile-cache ``kind`` field and the ``repro_task_*``
 metric label, so they never change.
@@ -81,6 +82,9 @@ class ReportKind:
     blocks: Mapping[str, Block] = field(default_factory=dict)
     #: fields never compared (covered by another field)
     ignore: tuple = ()
+    # -- CLI report commands (``None``: no ``python -m repro <name>``) ----
+    #: ``"module:function"`` rendering one report as text
+    renderer: Optional[str] = None
 
     @property
     def golden(self) -> bool:
@@ -139,12 +143,14 @@ TABLE = (
         params=dict(scale="test", epochs=1, seed=0, num_gpus=1),
         prefix="trace_", flag="traces", digest_field="trace_digest",
         blocks=dict(span_counts=EXACT),
+        renderer="repro.profiling.report:format_trace",
     ),
     ReportKind(
         "memstats", "repro.core.characterize:measure_memory",
         params=dict(scale="test", epochs=1, seed=0, strict=False),
         prefix="memory_", flag="memory", digest_field="memory_digest",
         blocks=dict(phase_watermarks=EXACT, top_labels=Block("first")),
+        renderer="repro.profiling.report:format_memory_report",
     ),
     ReportKind(
         "capture_fingerprint", "repro.testing.golden:capture_fingerprint",
@@ -160,24 +166,28 @@ TABLE = (
     ReportKind(
         "serve", "repro.serve.server:serve_report",
         params=dict(scale="test", qps=100.0, arrival="poisson", batch_max=8,
-                    max_wait_us=2000.0, requests=256, num_users=64, seed=0),
+                    max_wait_us=2000.0, requests=256, num_users=64, seed=0,
+                    strict=False),
         default_keys="repro.serve.server:SERVEABLE",
         prefix="serve_", flag="serve", digest_field="serve_digest",
         blocks=dict.fromkeys(("latency_us", "wait_us", "compute_us",
                               "batch_size_hist", "plan_kernels"), EXACT),
+        renderer="repro.profiling.report:format_serve",
     ),
     ReportKind(
         "sample", "repro.train.loader:sample_report",
         params=dict(scale="test", fanouts=(10, 5), batch_size=64,
-                    prefetch_depth=2, epochs=2, nodes=None, seed=0),
+                    prefetch_depth=2, epochs=2, nodes=None, seed=0,
+                    strict=False),
         default_keys="repro.train.loader:SAMPLE_DEFAULT_KEYS",
         prefix="sample_", flag="sample", digest_field="sample_digest",
         blocks=dict(stall_breakdown=EXACT),
+        renderer="repro.profiling.report:format_sample",
     ),
     ReportKind(
         "shard", "repro.train.sharded:shard_report",
         params=dict(parts=4, offload=False, nodes=4096, feat_dim=64,
-                    hidden=32, epochs=2, seed=0, mode="auto"),
+                    hidden=32, epochs=2, seed=0, mode="auto", strict=False),
         default_keys="repro.train.sharded:SHARD_GOLDEN_KEYS",
         params_hook="repro.train.sharded:resolve_shard_config",
         prefix="shard_", flag="shard", key_field="name",
@@ -185,6 +195,7 @@ TABLE = (
         # fp64 losses sum across parts in a partition-dependent order
         blocks=dict(partition=EXACT, losses=Block("index", atol=1e-9)),
         ignore=("loss_final",),
+        renderer="repro.profiling.report:format_shard",
     ),
     ReportKind(
         "insights", "repro.profiling.insights:insights_report",
@@ -196,6 +207,7 @@ TABLE = (
         digest_field="insights_digest",
         blocks=dict(bound_summary=EXACT, stream_summary=EXACT,
                     top_sites=Block("index")),
+        renderer="repro.profiling.report:format_insights",
     ),
 )
 

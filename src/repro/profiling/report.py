@@ -1,5 +1,6 @@
-"""Rendering helpers for the benchmark harness: aligned text tables that
-print the same rows/series the paper's figures report."""
+"""Rendering helpers: aligned text tables that print the same rows/series
+the paper's figures report, and the text of every CLI report (the
+``renderer`` of a :mod:`repro.core.kinds` row)."""
 
 from __future__ import annotations
 
@@ -106,6 +107,180 @@ def format_memory_table(
         total_oom = sum(rep.get("oom_events", 0) for rep in reports.values())
         lines.append(f"{'max':<12}{peak / 1e6:>13.2f}"
                      f"{'':>13}{'':>8}{'':>8}{'':>9}{'':>9}{total_oom:>5}")
+    return "\n".join(lines)
+
+
+def format_timeline_summary(summary: Mapping) -> list[str]:
+    """The span/idle/overlap and phase-occupancy lines of a timeline."""
+    if not summary:
+        return []
+    lines = [f"   timeline: {summary['span_count']} spans,"
+             f" {summary['idle_fraction'] * 100:.1f}% idle,"
+             f" {summary['compute_transfer_overlap'] * 100:.1f}%"
+             f" compute/transfer overlap"]
+    phases = ", ".join(f"{name} {frac * 100:.1f}%"
+                       for name, frac in summary["phase_occupancy"].items())
+    if phases:
+        lines.append(f"   phases:   {phases}")
+    return lines
+
+
+def format_memory_report(report: Mapping) -> str:
+    """Render one ``measure_memory`` report: peaks, allocator counters,
+    phase and epoch watermarks, and the largest allocation labels."""
+    cap = report["capacity_bytes"]
+    lines = [
+        f"== {report['workload']} (scale={report['scale']},"
+        f" epochs={report['epochs']}): simulated HBM",
+        f"   peak live     {report['peak_live_bytes'] / 1e6:10.2f} MB",
+        f"   peak reserved {report['peak_reserved_bytes'] / 1e6:10.2f} MB"
+        f"  ({report['utilization'] * 100:.2f}% of"
+        f" {cap / 2**30:.0f} GiB capacity)",
+        f"   live at end   {report['live_bytes'] / 1e6:10.2f} MB"
+        f"  (reserved {report['reserved_bytes'] / 1e6:.2f} MB,"
+        f" fragmentation {report['fragmentation'] * 100:.1f}%)",
+        f"   allocator     {report['alloc_count']} allocs /"
+        f" {report['free_count']} frees,"
+        f" {report['segment_allocs']} segment allocs,"
+        f" {report['bucket_reuse_count']} bucket reuses,"
+        f" internal frag {report['internal_fragmentation'] * 100:.1f}%",
+    ]
+    if report["oom_events"]:
+        lines.append(f"   OOM           {report['oom_events']} capacity"
+                     f" violation(s) — rerun with --strict to raise")
+    lines.append("   phase watermarks (peak live MB):")
+    for phase, peak in report["phase_watermarks"].items():
+        lines.append(f"     {phase:<12}{peak / 1e6:10.2f}")
+    epochs = ", ".join(f"{w / 1e6:.2f}" for w in report["epoch_watermarks"])
+    lines.append(f"   epoch watermarks (MB): {epochs}")
+    lines.append("   top allocation labels (MB requested, count):")
+    for name, nbytes, count in report["top_labels"]:
+        lines.append(f"     {name:<20}{nbytes / 1e6:10.2f}  x{count}")
+    lines.append(f"   memory digest {report['memory_digest'][:16]}")
+    return "\n".join(lines)
+
+
+def format_trace(report: Mapping) -> str:
+    """Render a traced run's timeline summary (``trace.trace_run``)."""
+    gpus = ", ".join(
+        f"gpu{pid} {dev['busy_s'] * 1e3:.2f} ms busy"
+        f" ({(1 - dev['idle_fraction']) * 100:.1f}%)"
+        for pid, dev in report["devices"].items()
+    )
+    return "\n".join([
+        f"== {report['workload']} (scale={report['scale']},"
+        f" epochs={report['epochs']}, gpus={report['gpus']}):"
+        f" {report['wall_s'] * 1e3:.2f} ms wall",
+        f"   {gpus}",
+        *format_timeline_summary(report),
+    ])
+
+
+def _hbm_lines(report: Mapping, hint: str = "") -> list[str]:
+    lines = [f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
+             f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
+             f" ({report['hbm_utilization'] * 100:.3f}% of capacity)"]
+    if report["oom_events"]:
+        lines.append(f"   OOM           {report['oom_events']} capacity"
+                     f" violation(s){hint}")
+    return lines
+
+
+def format_serve(report: Mapping) -> str:
+    """Render a serving report: latency quantiles, batching, HBM."""
+    lines = [
+        f"== {report['workload']} (scale={report['scale']},"
+        f" arrival={report['arrival']}, qps={report['qps']:g},"
+        f" batch_max={report['batch_max']},"
+        f" max_wait={report['max_wait_us']:g} us)",
+        f"   served        {report['completed']} requests in"
+        f" {report['duration_s'] * 1e3:.2f} ms simulated"
+        f"  ({report['throughput_rps']:.1f} req/s)",
+        f"   {'':<10}{'p50':>10}{'p95':>10}{'p99':>10}{'max':>10}",
+    ]
+    for name in ("latency", "wait", "compute"):
+        block = report[f"{name}_us"]
+        lines.append(f"   {name:<10}{block['p50']:>10.1f}{block['p95']:>10.1f}"
+                     f"{block['p99']:>10.1f}{block['max']:>10.1f}  us")
+    hist = ", ".join(
+        f"{size}x{count}"
+        for size, count in sorted(report["batch_size_hist"].items(),
+                                  key=lambda kv: int(kv[0]))
+    )
+    lines += [
+        f"   batches       {report['batches']}"
+        f" (mean size {report['mean_batch_size']:.2f}; {hist})",
+        f"   fast path     {report['captured_plans']} captured plan(s),"
+        f" {report['replayed_batches']} replayed batch(es)",
+        *_hbm_lines(report),
+        f"   serve digest  {report['serve_digest'][:16]}",
+    ]
+    return "\n".join(lines)
+
+
+def format_sample(report: Mapping) -> str:
+    """Render a mini-batch sampled-training report: sampler, loader
+    stalls, prefetch-queue occupancy, throughput, HBM."""
+    fanouts = "x".join(str(f) for f in report["fanouts"])
+    return "\n".join([
+        f"== {report['workload']} (scale={report['scale']},"
+        f" fanouts={fanouts}, batch={report['batch_size']},"
+        f" prefetch_depth={report['prefetch_depth']},"
+        f" epochs={report['epochs']})",
+        f"   graph         {report['graph_nodes']} nodes,"
+        f" {report['graph_edges']} edges,"
+        f" {report['train_seeds']} train seeds",
+        f"   sampler       {report['batches']} batches"
+        f" ({report['batches_per_epoch']}/epoch),"
+        f" {report['edges_sampled']} edges drawn,"
+        f" {report['sample_cost_s'] * 1e3:.2f} ms host sampling",
+        f"   loader stall  {report['loader_stall_s'] * 1e3:.2f} ms"
+        f" ({report['loader_stall_fraction'] * 100:.1f}% of"
+        f" {report['sim_wall_s'] * 1e3:.2f} ms simulated wall)",
+        f"   queue         occupancy mean"
+        f" {report['queue_occupancy_mean']:.2f},"
+        f" max {report['queue_occupancy_max']}",
+        f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
+        f" simulated second ({report['kernels']} kernels,"
+        f" {report['h2d_bytes'] / 1e6:.2f} MB H2D)",
+        *_hbm_lines(report),
+        f"   sample digest {report['sample_digest'][:16]}",
+    ])
+
+
+def format_shard(report: Mapping) -> str:
+    """Render a sharded-training report: partition quality, halo
+    exchange, staging traffic, throughput, HBM and losses."""
+    part = report["partition"]
+    lines = [
+        f"== {report['name']} ({report['workload']},"
+        f" mode={report['mode']}, parts={report['parts']},"
+        f" gpus={report['gpus']},"
+        f" offload={'yes' if report['offload'] else 'no'},"
+        f" epochs={report['epochs']})",
+        f"   graph         {report['graph_nodes']} nodes,"
+        f" {report['graph_edges']} edges, feat_dim={report['feat_dim']},"
+        f" {report['train_nodes']} train seeds",
+        f"   partition     {part['method']}+lp{part['refine']}:"
+        f" cut {part['edge_cut']} ({part['cut_fraction'] * 100:.1f}%),"
+        f" balance {part['achieved_balance']:.3f},"
+        f" replication {part['replication_factor']:.2f}x",
+        f"   halo          {report['halo_exchanges']} exchange(s),"
+        f" {report['halo_bytes'] / 1e6:.2f} MB moved,"
+        f" {report['halo_time_s'] * 1e3:.3f} ms on the NVLink model",
+        f"   staging       {report['h2d_bytes'] / 1e6:.2f} MB H2D,"
+        f" {report['d2h_bytes'] / 1e6:.2f} MB D2H,"
+        f" {report['allreduce_bytes'] / 1e6:.2f} MB allreduced",
+        f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
+        f" simulated second ({report['kernels']} kernels,"
+        f" {report['sim_wall_s'] * 1e3:.2f} ms wall)",
+        *_hbm_lines(report, " — rerun with --strict to raise"),
+    ]
+    if report["losses"]:
+        losses = ", ".join(f"{x:.6f}" for x in report["losses"])
+        lines.append(f"   loss          {losses}")
+    lines.append(f"   shard digest  {report['shard_digest'][:16]}"
+                 f"  (halo trace {report['halo_trace_digest'][:12]})")
     return "\n".join(lines)
 
 

@@ -719,6 +719,18 @@ def trace_point(key: str, num_gpus: int = 1, scale: str = "test",
                                    launch_listener=launch_listener)
 
 
+def trace_run(key: str, scale: str = "test", epochs: int = 1, seed: int = 0,
+              num_gpus: int = 1, traced: bool = True) -> tuple[dict, Timeline]:
+    """One traced run → ``(summary report, timeline)``; the timeline comes
+    back whatever ``traced`` says.  Memory counter tracks ride along on
+    single-device traces only."""
+    timeline = trace_point(key, num_gpus=num_gpus, scale=scale, epochs=epochs,
+                           seed=seed, memory=num_gpus == 1)
+    report = dict(timeline.summary(), workload=key, scale=scale,
+                  epochs=epochs, seed=seed, gpus=num_gpus)
+    return report, timeline
+
+
 def trace_fingerprint(key: str, scale: str = "test", epochs: int = 1,
                       seed: int = 0, num_gpus: int = 1) -> dict:
     """Golden-trace payload: structural counts plus the canonical digest."""

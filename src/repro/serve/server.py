@@ -335,21 +335,7 @@ def serve_run(
     return report, timeline
 
 
-def serve_report(
-    key: str,
-    scale: str = "test",
-    qps: float = 100.0,
-    arrival: str = "poisson",
-    batch_max: int = 8,
-    max_wait_us: float = 2000.0,
-    requests: int = 256,
-    num_users: int = 64,
-    seed: int = 0,
-    strict: bool = False,
-) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
-    report, _ = serve_run(key, scale=scale, qps=qps, arrival=arrival,
-                          batch_max=batch_max, max_wait_us=max_wait_us,
-                          requests=requests, num_users=num_users, seed=seed,
-                          strict=strict, traced=False)
-    return report
+def serve_report(key: str, **kwargs) -> dict:
+    """The picklable executor-task entry point: :func:`serve_run`'s
+    report (no timeline)."""
+    return serve_run(key, **dict(kwargs, traced=False))[0]

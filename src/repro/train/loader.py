@@ -606,21 +606,7 @@ def sample_run(
     return report, timeline
 
 
-def sample_report(
-    key: str,
-    scale: str = "test",
-    fanouts=(10, 5),
-    batch_size: int = 64,
-    prefetch_depth: int = 2,
-    epochs: int = 2,
-    nodes: Optional[int] = None,
-    seed: int = 0,
-    strict: bool = False,
-) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
-    report, _ = sample_run(key, scale=scale, fanouts=fanouts,
-                           batch_size=batch_size,
-                           prefetch_depth=prefetch_depth, epochs=epochs,
-                           nodes=nodes, seed=seed, strict=strict,
-                           traced=False)
-    return report
+def sample_report(key: str, **kwargs) -> dict:
+    """The picklable executor-task entry point: :func:`sample_run`'s
+    report (no timeline)."""
+    return sample_run(key, **dict(kwargs, traced=False))[0]

@@ -730,7 +730,6 @@ def shard_run(
 
 
 def shard_report(key: str, **kwargs) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
-    kwargs.pop("traced", None)
-    report, _ = shard_run(key, traced=False, **kwargs)
-    return report
+    """The picklable executor-task entry point: :func:`shard_run`'s
+    report (no timeline)."""
+    return shard_run(key, **dict(kwargs, traced=False))[0]

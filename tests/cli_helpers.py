@@ -1,15 +1,14 @@
 """Shared helper for exercising ``python -m repro`` in-process.
 
-``cli.main`` returns an int on the happy path but raises ``SystemExit``
-(with either an int code or a message string) on argparse rejections and
-workload-resolution failures.  :func:`run_cli` normalizes both shapes
-into one :class:`CLIResult` so CLI tests can assert on exit code, stdout
-and stderr uniformly without sprinkling ``pytest.raises`` everywhere.
+``cli.main`` returns an int exit code; argparse rejections (an unknown
+command, option or key, a contradictory value) raise ``SystemExit(2)``
+after writing the reason to stderr.  :func:`run_cli` folds both into one
+:class:`CLIResult` so CLI tests can assert on exit code, stdout and stderr
+uniformly without sprinkling ``pytest.raises`` everywhere.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from repro import __main__ as cli
@@ -23,23 +22,10 @@ class CLIResult:
 
 
 def run_cli(argv, capsys) -> CLIResult:
-    """Run ``python -m repro`` with ``argv`` and capture the outcome.
-
-    ``SystemExit`` is folded into the result the way the interpreter
-    would: ``None`` → 0, an int → that code, a message string → printed
-    to stderr with exit code 1.
-    """
-    code = 0
+    """Run ``python -m repro`` with ``argv`` and capture the outcome."""
     try:
-        rc = cli.main(list(argv))
-        code = 0 if rc is None else int(rc)
-    except SystemExit as exc:  # argparse / workload-resolution errors
-        if exc.code is None:
-            code = 0
-        elif isinstance(exc.code, int):
-            code = exc.code
-        else:
-            print(exc.code, file=sys.stderr)
-            code = 1
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors, --help
+        code = exc.code or 0
     captured = capsys.readouterr()
     return CLIResult(code=code, out=captured.out, err=captured.err)

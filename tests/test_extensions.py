@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import profile_inference, profile_workload, registry
+from repro.core import executor, profile_inference, profile_workload, registry
 from repro.gpu import (
     KernelDescriptor,
     OpClass,
@@ -16,6 +16,7 @@ from repro.gpu import (
 )
 from repro.gpu.compression import rle_bytes, zvc_bytes
 from repro.train import Trainer, run_weak_scaling_point
+from tests.cli_helpers import run_cli
 
 
 class TestCompression:
@@ -223,23 +224,17 @@ class TestMemoryFootprint:
 
 class TestCLI:
     def test_table1_command(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "PinSAGE" in out
+        res = run_cli(["table1"], capsys)
+        assert res.code == 0
+        assert "PinSAGE" in res.out
 
     def test_profile_command(self, capsys):
-        from repro.__main__ import main
+        res = run_cli(["profile", "KGNNL", "--scale", "test"], capsys)
+        assert res.code == 0
+        assert "KGNNL" in res.out and "us" in res.out
 
-        assert main(["profile", "KGNNL", "--scale", "test"]) == 0
-        out = capsys.readouterr().out
-        assert "KGNNL" in out and "us" in out
-
-    def test_profile_without_workload_profiles_suite(self, capsys, tmp_path):
-        from repro.__main__ import main
-        from repro.core import executor
-
+    def test_profile_without_workload_profiles_suite(self, capsys,
+                                                     monkeypatch):
         # stub the engine: this tests the CLI wiring, not the (already
         # covered) characterization itself
         calls = {}
@@ -251,44 +246,36 @@ class TestCLI:
             calls.update(scale=scale, jobs=jobs, cache=cache)
             return SuiteProfile()
 
-        original = executor.run_suite
-        executor.run_suite = fake_run_suite
-        try:
-            assert main(["profile", "--scale", "test", "--jobs", "3",
-                         "--no-cache"]) == 0
-        finally:
-            executor.run_suite = original
+        monkeypatch.setattr(executor, "run_suite", fake_run_suite)
+        res = run_cli(["profile", "--scale", "test", "--jobs", "3",
+                       "--no-cache"], capsys)
+        assert res.code == 0
         assert calls == {"scale": "test", "jobs": 3, "cache": False}
 
     def test_profile_suite_mode_end_to_end(self, capsys, monkeypatch):
         """Unstubbed suite-mode profile over a two-workload registry slice."""
-        from repro.__main__ import main
-        from repro.core import registry
-
         keys = ("TLSTM", "KGNNL")
         monkeypatch.setattr(registry, "WORKLOAD_KEYS", keys)
-        assert main(["profile", "--scale", "test", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "== TLSTM" in out and "== KGNNL" in out
+        res = run_cli(["profile", "--scale", "test", "--no-cache"], capsys)
+        assert res.code == 0
+        assert "== TLSTM" in res.out and "== KGNNL" in res.out
 
     def test_bench_command_writes_report(self, capsys, tmp_path,
                                          monkeypatch):
-        from repro import __main__ as cli
-
         fake = {"suite": ["TLSTM"], "scale": "test", "epochs": 1, "jobs": 2,
                 "cold_serial_s": 1.0, "cold_parallel_s": 0.6,
                 "warm_cache_s": 0.01, "warm_cache_hits": 1,
                 "parallel_speedup": 1.67, "warm_speedup": 100.0}
-        monkeypatch.setattr(cli.executor, "benchmark_suite",
-                            lambda **kw: fake)
+        monkeypatch.setattr(executor, "benchmark_suite", lambda **kw: fake)
         out_path = tmp_path / "BENCH_suite.json"
-        assert cli.main(["bench", "--quick", "--output", str(out_path)]) == 0
+        res = run_cli(["bench", "--quick", "--output", str(out_path)],
+                      capsys)
+        assert res.code == 0
         report = json.loads(out_path.read_text())
         assert report["warm_speedup"] == 100.0
-        assert "warm cache" in capsys.readouterr().out
+        assert "warm cache" in res.out
 
-    def test_unknown_command_rejected(self):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["fig99"])
+    def test_unknown_command_rejected(self, capsys):
+        res = run_cli(["fig99"], capsys)
+        assert res.code == 2
+        assert "invalid choice" in res.err
