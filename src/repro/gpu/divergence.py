@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import setops
 from .kernel import AccessKind, AccessPattern
 
 
@@ -100,7 +101,7 @@ def _measure_irregular(
 
     n_full = (lines.size // warp_size) * warp_size
     if n_full == 0:
-        unique = float(np.unique(lines).size)
+        unique = float(setops.unique(lines).size)
         return DivergenceResult(
             divergent_fraction=1.0 if unique > 1 else 0.0,
             lines_per_warp=max(1.0, unique),
@@ -111,5 +112,5 @@ def _measure_irregular(
     distinct = 1 + np.count_nonzero(np.diff(sorted_warps, axis=1), axis=1)
     divergent_fraction = float(np.mean(distinct > 1))
     lines_per_warp = float(np.mean(distinct))
-    unique_line_fraction = float(np.unique(lines).size) / float(lines.size)
+    unique_line_fraction = float(setops.unique(lines).size) / float(lines.size)
     return DivergenceResult(divergent_fraction, lines_per_warp, unique_line_fraction)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import setops
 from .graph import Graph
 
 
@@ -52,8 +53,8 @@ def stochastic_block_model(
             dsts.append(dst[keep])
     src = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
     dst = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    graph = Graph(pairs[:, 0], pairs[:, 1], num_nodes=n).to_undirected()
+    src, dst = setops.unique_pairs(src, dst)
+    graph = Graph(src, dst, num_nodes=n).to_undirected()
     return graph, labels
 
 
@@ -68,7 +69,7 @@ def preferential_attachment(
     for node in range(m, num_nodes):
         chosen = rng.choice(repeated, size=m, replace=False) if len(repeated) >= m \
             else rng.integers(0, node, size=m)
-        for t in np.unique(chosen):
+        for t in setops.unique(chosen):
             src.append(node)
             dst.append(int(t))
             repeated.extend([node, int(t)])
@@ -88,8 +89,7 @@ def bipartite_interactions(
     probs /= probs.sum()
     users = rng.integers(0, num_users, size=num_interactions)
     items = rng.choice(num_items, size=num_interactions, p=probs)
-    pairs = np.unique(np.stack([users, items], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    return setops.unique_pairs(users, items)
 
 
 def sensor_network(

@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .. import setops
 from ..tensor.ops.spmm import SparseTensor
 
 
@@ -57,19 +58,16 @@ class Graph:
 
     def to_undirected(self) -> "Graph":
         """Add reverse edges (deduplicated)."""
-        pairs = np.stack(
-            [np.concatenate([self.src, self.dst]),
-             np.concatenate([self.dst, self.src])], axis=1
-        )
-        pairs = np.unique(pairs, axis=0)
-        return Graph(pairs[:, 0], pairs[:, 1], num_nodes=self.num_nodes)
+        src, dst = setops.unique_pairs(np.concatenate([self.src, self.dst]),
+                                       np.concatenate([self.dst, self.src]))
+        return Graph(src, dst, num_nodes=self.num_nodes)
 
     def add_self_loops(self) -> "Graph":
-        loops = np.arange(self.num_nodes, dtype=np.int64)
-        has_loop = self.src == self.dst
-        keep = ~np.isin(loops, self.src[has_loop])
-        src = np.concatenate([self.src, loops[keep]])
-        dst = np.concatenate([self.dst, loops[keep]])
+        has_loop = np.zeros(self.num_nodes, dtype=bool)
+        has_loop[self.src[self.src == self.dst]] = True
+        loops = np.flatnonzero(~has_loop)
+        src = np.concatenate([self.src, loops])
+        dst = np.concatenate([self.dst, loops])
         return Graph(src, dst, num_nodes=self.num_nodes)
 
     # -- structure queries -----------------------------------------------------
@@ -100,7 +98,7 @@ class Graph:
 
     def subgraph(self, nodes: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Node-induced subgraph; returns (subgraph, old ids of its nodes)."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = setops.unique(np.asarray(nodes, dtype=np.int64))
         lookup = -np.ones(self.num_nodes, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
         mask = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)

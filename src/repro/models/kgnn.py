@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import setops
 from ..datasets.proteins import ProteinDataset
 from ..graph import Graph, batch_graphs
 from ..tensor import Tensor, functional as F, nn
@@ -41,14 +42,13 @@ class SetGraph:
 def build_pair_graph(graph: Graph) -> SetGraph:
     """2-sets = connected node pairs; edges link pairs sharing a node."""
     mask = graph.src < graph.dst
-    pairs = np.unique(
-        np.stack([graph.src[mask], graph.dst[mask]], axis=1), axis=0
-    )
+    pairs = np.stack(setops.unique_pairs(graph.src[mask], graph.dst[mask]),
+                     axis=1)
     if pairs.size == 0:
         return SetGraph(np.empty((0, 2), np.int64), np.empty(0, np.int64),
                         np.empty(0, np.int64))
     edge_src, edge_dst = _edges_by_shared_members(pairs)
-    return SetGraph(pairs.astype(np.int64), edge_src, edge_dst)
+    return SetGraph(pairs, edge_src, edge_dst)
 
 
 def build_triple_graph(graph: Graph, max_triples: int = 4000) -> SetGraph:
@@ -98,8 +98,7 @@ def _edges_by_shared_members(members: np.ndarray, shared: int | None = None
         return np.empty(0, np.int64), np.empty(0, np.int64)
     src_all = np.concatenate(src)
     dst_all = np.concatenate(dst)
-    pairs = np.unique(np.stack([src_all, dst_all], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    return setops.unique_pairs(src_all, dst_all)
 
 
 class GraphConvLayer(nn.Module):

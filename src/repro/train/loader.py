@@ -277,7 +277,9 @@ def _stage_h2d(device, feats: np.ndarray, blocks: list[SampledBlock]) -> None:
         device.h2d(block.edge_src, f"loader.block{i}")
 
 
-@lru_cache(maxsize=None)
+#: bounded so a process that runs many seeds does not keep every graph alive;
+#: a 200k-node graph regenerates in about 0.1 s
+@lru_cache(maxsize=2)
 def _synthetic_citation(nodes: int, seed: int):
     from ..datasets.citation import synthetic_citation
 

@@ -13,6 +13,7 @@ from repro.train.loader import (
     SAMPLE_COST_PER_BATCH_S,
     SAMPLEABLE,
     NeighborLoader,
+    _synthetic_citation,
     make_sample_engine,
     sample_run,
     sampler_cost_s,
@@ -107,6 +108,16 @@ class TestSyntheticCitation:
     def test_rejects_tiny_graphs(self):
         with pytest.raises(ValueError):
             synthetic_citation(3)
+
+    def test_engine_dataset_cache_is_bounded(self):
+        cache = _synthetic_citation
+        cache.cache_clear()
+        for seed in range(5):
+            cache(64, seed)
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        cache(64, 4)
+        assert cache.cache_info().hits == info.hits + 1
 
 
 class TestPrefetchPipeline:
