@@ -188,14 +188,6 @@ def cache_for(sim: SimulationConfig) -> AnalysisCache:
     return cache
 
 
-def analyze(desc: KernelDescriptor,
-            sim: SimulationConfig) -> tuple[AnalysisRecord, bool]:
-    """Memoized analysis of one launch: ``(record, was_cache_hit)``."""
-    if not enabled():
-        return compute(desc, sim), False
-    return cache_for(sim).analyze(desc, sim)
-
-
 def register_clear_hook(hook: Callable[[], None]) -> None:
     """Register an extra invalidation callback for :func:`clear`."""
     if hook not in _CLEAR_HOOKS:

@@ -130,6 +130,13 @@ class SimulatedGPU:
         self._transfer_listeners.remove(listener)
 
     # -- execution ------------------------------------------------------------
+    def _analyze(self, desc: KernelDescriptor):
+        """``(record, was_cache_hit)`` for one descriptor under this device's
+        config; with memoization off every launch is a cold miss."""
+        if analysis_cache.enabled():
+            return self._analysis.analyze(desc, self.sim)
+        return analysis_cache.compute(desc, self.sim), False
+
     def launch(self, desc: KernelDescriptor) -> KernelLaunch:
         """Simulate one kernel launch and advance the device clock.
 
@@ -138,183 +145,84 @@ class SimulatedGPU:
         descriptor — every layer and epoch of GNN training re-emits them over
         the same adjacency — degrade to a dict lookup plus clock arithmetic.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
-        return self._finish_launch(desc, record, hit)
+        record, hit = self._analyze(desc)
+        return self._account(desc, record, hit, envelope=True)
 
     def launch_fast(self, desc: KernelDescriptor) -> Optional[KernelLaunch]:
         """:meth:`launch` for the tensor-ops hot path.
 
         Identical clock/stat effects, but analysis-cache hits go through
-        :meth:`replay`, which skips the :class:`KernelLaunch` envelope when
-        no profiler is listening and returns ``None``.  :meth:`launch` keeps
-        the always-return-a-launch contract for direct callers.
+        :meth:`replay`, and no :class:`KernelLaunch` envelope is built (``None``
+        is returned) when no profiler is listening.  :meth:`launch` keeps the
+        always-return-a-launch contract for direct callers.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-            if hit:
-                return self.replay(desc, record)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
-        return self._finish_launch(desc, record, hit)
+        record, hit = self._analyze(desc)
+        if hit:
+            return self.replay(desc, record)
+        return self._account(desc, record, False)
 
     def launch_analyzed(
         self, desc: KernelDescriptor
     ) -> tuple["analysis_cache.AnalysisRecord", Optional[KernelLaunch]]:
-        """:meth:`launch` that also hands back the analysis record.
+        """:meth:`launch` that also hands back the analysis record; like
+        :meth:`launch_fast`, it builds no envelope unless a profiler listens.
 
         The miss path of the launch-site memo (``ops.base.launch``) uses this
         to capture the record it will replay on subsequent hits without a
         second cache probe.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
-        return record, self._finish_launch(desc, record, hit)
+        record, hit = self._analyze(desc)
+        return record, self._account(desc, record, hit)
 
     def replay(self, desc: KernelDescriptor, record) -> Optional[KernelLaunch]:
         """Re-issue a memoized launch: clock arithmetic plus counters only.
 
         Byte-identical to :meth:`launch` of the same descriptor — the record
-        was produced from exactly this descriptor, and the clock/stat updates
-        below mirror :meth:`_finish_launch` — but skips rebuilding the
+        was produced from exactly this descriptor — but skips building the
         :class:`KernelLaunch` envelope unless a profiler is listening.
         """
-        tim = record.timing
-        self.host_clock_s += self.sim.device.kernel_launch_overhead_s
+        return self._account(desc, record, True)
+
+    def _account(self, desc: KernelDescriptor, record, hit: bool,
+                 envelope: bool = False) -> Optional[KernelLaunch]:
+        """Advance the clocks and counters for one launch of ``desc`` costed
+        by ``record``; build the envelope and notify listeners when any are
+        attached (or ``envelope`` asks for one regardless)."""
+        duration = record.timing.duration_s
+        host = self.host_clock_s + self.sim.device.kernel_launch_overhead_s
+        self.host_clock_s = host
         clock = self.clock_s
-        start = self.host_clock_s if self.host_clock_s > clock else clock
-        self.clock_s = start + tim.duration_s
+        start = host if host > clock else clock
+        self.clock_s = start + duration
         launch_id = self._launch_counter
         self._launch_counter = launch_id + 1
 
         stats = self.stats
         stats.kernel_count += 1
-        stats.kernel_time_s += tim.duration_s
+        stats.kernel_time_s += duration
         stats.launch_overhead_s += start - clock
         stats.fp32_flops += desc.fp32_flops
         stats.int32_iops += desc.int32_iops
-        stats.analysis_hits += 1
-
-        if not self._launch_listeners:
-            return None
-        launch = KernelLaunch(
-            descriptor=desc,
-            launch_id=launch_id,
-            device_id=self.device_id,
-            cycles=tim.cycles,
-            duration_s=tim.duration_s,
-            start_s=start,
-            instructions=tim.instructions,
-            fp32_instrs=tim.fp32_instrs,
-            int32_instrs=tim.int32_instrs,
-            ipc=tim.ipc,
-            occupancy=tim.occupancy,
-            memory=record.memory,
-            stalls=record.stalls,
-        )
-        for listener in self._launch_listeners:
-            listener(launch)
-        return launch
-
-    def _finish_launch(self, desc: KernelDescriptor, record, hit: bool) -> KernelLaunch:
-        mem = record.memory
-        tim = record.timing
-        stall = record.stalls
-
-        self.host_clock_s += self.sim.device.kernel_launch_overhead_s
-        start = max(self.clock_s, self.host_clock_s)
-        gap = start - self.clock_s
-        launch = KernelLaunch(
-            descriptor=desc,
-            launch_id=self._launch_counter,
-            device_id=self.device_id,
-            cycles=tim.cycles,
-            duration_s=tim.duration_s,
-            start_s=start,
-            instructions=tim.instructions,
-            fp32_instrs=tim.fp32_instrs,
-            int32_instrs=tim.int32_instrs,
-            ipc=tim.ipc,
-            occupancy=tim.occupancy,
-            memory=mem,
-            stalls=stall,
-        )
-        self._launch_counter += 1
-        self.clock_s = launch.end_s
-
-        self.stats.kernel_count += 1
-        self.stats.kernel_time_s += tim.duration_s
-        self.stats.launch_overhead_s += gap
-        self.stats.fp32_flops += desc.fp32_flops
-        self.stats.int32_iops += desc.int32_iops
         if hit:
-            self.stats.analysis_hits += 1
+            stats.analysis_hits += 1
         else:
-            self.stats.analysis_misses += 1
+            stats.analysis_misses += 1
 
-        for listener in self._launch_listeners:
+        listeners = self._launch_listeners
+        if not (listeners or envelope):
+            return None
+        launch = KernelLaunch(desc, launch_id, self.device_id, start, record)
+        for listener in listeners:
             listener(launch)
         return launch
-
-    def _transfer(
-        self, array: np.ndarray, direction: str, label: str
-    ) -> TransferRecord:
-        # Unlabelled copies at least say which way they went — "h2d"/"d2h"
-        # reads better than "" in traces and memory attributions.
-        label = label or direction
-        values = np.asarray(array)
-        nbytes = int(values.nbytes)
-        if values.dtype == np.bool_ or np.issubdtype(values.dtype, np.number):
-            num_zeros = int(values.size - np.count_nonzero(values))
-        else:
-            num_zeros = 0
-        wire_bytes = nbytes
-        if self.sim.transfer_compression != "none" and direction == "h2d":
-            from .compression import compress
-
-            wire_bytes = compress(values, self.sim.transfer_compression).compressed_bytes
-        duration = timing.h2d_time(wire_bytes, self.sim)
-        # PyTorch-1.5-style pageable copies are synchronous: the host stalls
-        # until the copy completes, re-aligning both clocks.
-        start = max(self.clock_s, self.host_clock_s)
-        record = TransferRecord(
-            direction=direction,
-            nbytes=nbytes,
-            num_values=int(values.size),
-            num_zeros=num_zeros,
-            label=label,
-            start_s=start,
-            duration_s=duration,
-            device_id=self.device_id,
-            wire_bytes=wire_bytes,
-        )
-        self.clock_s = start + duration
-        self.host_clock_s = self.clock_s
-        self.stats.transfer_count += 1
-        self.stats.transfer_time_s += duration
-        if direction == "h2d":
-            self.stats.h2d_bytes += nbytes
-        else:
-            self.stats.d2h_bytes += nbytes
-        if direction == "h2d":
-            tracker = memory._TRACKER
-            if tracker is not None and tracker.device is self:
-                tracker.register(values, label=label)
-        for listener in self._transfer_listeners:
-            listener(record)
-        return record
 
     def h2d(self, array: np.ndarray, label: str = "") -> TransferRecord:
         """Copy a host buffer to the device, measuring value sparsity."""
-        return self._transfer(array, "h2d", label)
+        return self._transfer("h2d", label, np.asarray(array))
 
     def d2h(self, array: np.ndarray, label: str = "") -> TransferRecord:
         """Copy a device buffer back to the host."""
-        return self._transfer(array, "d2h", label)
+        return self._transfer("d2h", label, np.asarray(array))
 
     def transfer_bytes(
         self, nbytes: int, direction: str, label: str = "",
@@ -335,19 +243,44 @@ class SimulatedGPU:
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
+        return self._transfer(direction, label, None, nbytes, int(num_values))
+
+    def _transfer(
+        self, direction: str, label: str, values: Optional[np.ndarray],
+        nbytes: int = 0, num_values: int = 0,
+    ) -> TransferRecord:
+        """Account one copy: of a real buffer ``values`` (measured, and
+        registered with the memory tracker on h2d), or with ``values=None``
+        of an analytic ``nbytes``.  Clocks and stats advance first, then the
+        tracker, then the transfer listeners."""
+        num_zeros = 0
+        wire_bytes = nbytes
+        if values is not None:
+            nbytes = wire_bytes = int(values.nbytes)
+            num_values = int(values.size)
+            if values.dtype == np.bool_ or np.issubdtype(values.dtype, np.number):
+                num_zeros = int(values.size - np.count_nonzero(values))
+            if direction == "h2d" and self.sim.transfer_compression != "none":
+                from .compression import compress
+
+                wire_bytes = compress(values, self.sim.transfer_compression).compressed_bytes
+        # Unlabelled copies at least say which way they went — "h2d"/"d2h"
+        # reads better than "" in traces and memory attributions.
         label = label or direction
-        duration = timing.h2d_time(nbytes, self.sim)
+        duration = timing.h2d_time(wire_bytes, self.sim)
+        # PyTorch-1.5-style pageable copies are synchronous: the host stalls
+        # until the copy completes, re-aligning both clocks.
         start = max(self.clock_s, self.host_clock_s)
         record = TransferRecord(
             direction=direction,
             nbytes=nbytes,
-            num_values=int(num_values),
-            num_zeros=0,
+            num_values=num_values,
+            num_zeros=num_zeros,
             label=label,
             start_s=start,
             duration_s=duration,
             device_id=self.device_id,
-            wire_bytes=nbytes,
+            wire_bytes=wire_bytes,
         )
         self.clock_s = start + duration
         self.host_clock_s = self.clock_s
@@ -355,6 +288,11 @@ class SimulatedGPU:
         self.stats.transfer_time_s += duration
         if direction == "h2d":
             self.stats.h2d_bytes += nbytes
+            # registered before the listeners run: graph capture's
+            # _EpochRecorder.finish relies on this order
+            tracker = memory._TRACKER
+            if values is not None and tracker is not None and tracker.device is self:
+                tracker.register(values, label=label)
         else:
             self.stats.d2h_bytes += nbytes
         for listener in self._transfer_listeners:

@@ -255,10 +255,7 @@ _DESC_FIELDS = (
     "reuse_factor", "block_size", "phase", "compute_scale",
 )
 
-_LAUNCH_FIELDS = (
-    "device_id", "cycles", "duration_s", "instructions", "fp32_instrs",
-    "int32_instrs", "ipc", "occupancy", "memory", "stalls",
-)
+_LAUNCH_FIELDS = ("device_id", "record")
 
 _TRANSFER_FIELDS = (
     "direction", "nbytes", "num_values", "num_zeros", "label", "duration_s",
@@ -331,7 +328,7 @@ def replay_epoch(
     """Re-apply one captured epoch: clock arithmetic plus batched counters.
 
     Bit-identical to dispatching the same epoch: every clock update repeats
-    the exact floating-point operation sequence of ``SimulatedGPU.replay`` /
+    the exact floating-point operation sequence of ``SimulatedGPU._account`` /
     ``_transfer``, float stat fields accumulate per event in dispatch order
     (into locals, written back once), and integer stat fields — exact under
     addition — are applied as one per-epoch delta.  Launch/transfer envelopes
@@ -358,11 +355,12 @@ def replay_epoch(
         tag = event[0]
         if tag == "K":
             launch = event[1]
+            duration = launch.duration_s
             host += launch_overhead
             start = host if host > clock else clock
             overhead_time += start - clock
-            clock = start + launch.duration_s
-            kernel_time += launch.duration_s
+            clock = start + duration
+            kernel_time += duration
             desc = launch.descriptor
             fp32_flops += desc.fp32_flops
             int32_iops += desc.int32_iops
@@ -469,23 +467,8 @@ def fuse_run(members: list[KernelLaunch], sim) -> KernelLaunch:
         phase=head.phase,
         compute_scale=1.0,
     )
-    record = analysis_cache.compute(desc, sim)
-    tim = record.timing
-    return KernelLaunch(
-        descriptor=desc,
-        launch_id=-1,
-        device_id=members[0].device_id,
-        cycles=tim.cycles,
-        duration_s=tim.duration_s,
-        start_s=0.0,
-        instructions=tim.instructions,
-        fp32_instrs=tim.fp32_instrs,
-        int32_instrs=tim.int32_instrs,
-        ipc=tim.ipc,
-        occupancy=tim.occupancy,
-        memory=record.memory,
-        stalls=record.stalls,
-    )
+    return KernelLaunch(desc, -1, members[0].device_id, 0.0,
+                        analysis_cache.compute(desc, sim))
 
 
 def fuse_events(

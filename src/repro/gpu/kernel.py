@@ -8,7 +8,8 @@ pattern (including, for irregular operations, the *actual index array* so the
 divergence model can measure rather than guess).
 
 The device model consumes a descriptor and returns a :class:`KernelLaunch`
-holding the derived metrics (cycles, stalls, cache hit rates, IPC, ...).
+that carries the analysis record holding the derived metrics (cycles, stalls,
+cache hit rates, IPC, ...).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -279,21 +281,32 @@ class StallBreakdown:
 
 @dataclass
 class KernelLaunch:
-    """A completed (simulated) kernel launch with derived metrics."""
+    """A completed (simulated) kernel launch: where and when a descriptor ran,
+    plus the :class:`~repro.gpu.analysis_cache.AnalysisRecord` it was costed
+    with.
+
+    The derived metrics (cycles, IPC, cache hit rates, stalls, ...) are read
+    through from ``record``, which is shared by every launch of an identical
+    descriptor, so the envelope never copies them.
+    """
 
     descriptor: KernelDescriptor
     launch_id: int
     device_id: int
-    cycles: float
-    duration_s: float
     start_s: float
-    instructions: float
-    fp32_instrs: float
-    int32_instrs: float
-    ipc: float
-    occupancy: float
-    memory: MemoryMetrics
-    stalls: StallBreakdown
+    #: AnalysisRecord; typed loosely to avoid an import cycle
+    record: "object"
+
+    # read-through metrics (C-level getters: listeners read them per launch)
+    cycles = property(attrgetter("record.timing.cycles"))
+    duration_s = property(attrgetter("record.timing.duration_s"))
+    instructions = property(attrgetter("record.timing.instructions"))
+    fp32_instrs = property(attrgetter("record.timing.fp32_instrs"))
+    int32_instrs = property(attrgetter("record.timing.int32_instrs"))
+    ipc = property(attrgetter("record.timing.ipc"))
+    occupancy = property(attrgetter("record.timing.occupancy"))
+    memory = property(attrgetter("record.memory"))
+    stalls = property(attrgetter("record.stalls"))
 
     @property
     def name(self) -> str:

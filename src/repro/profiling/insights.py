@@ -1,8 +1,9 @@
 """Insight engine: roofline attribution, run provenance, differential diagnosis.
 
-The profiling layer *emits* everything the paper's analysis needs — per-launch
-``MemoryMetrics``/``TimingResult``/``StallBreakdown``, the PR-4 timeline, the
-PR-5 metrics registry — but nothing *interprets* it.  This module folds those
+The profiling layer *emits* everything the paper's analysis needs — every
+``KernelLaunch`` carries its ``AnalysisRecord`` (``MemoryMetrics``,
+``TimingResult``, ``StallBreakdown``), plus the timeline and the metrics
+registry — but nothing *interprets* it.  This module folds those
 raw streams into verdicts:
 
 * a **roofline classifier** tags every launch site with exactly one bound
@@ -32,9 +33,9 @@ these):
 
 * every number folds pure functions of ``(descriptor, SimulationConfig)``
   over the simulated clock — never wall time, never live cache state;
-* the collector memoizes ``timing.analyze`` in its *own* signature-keyed
-  dict, so reports are byte-identical with the global analysis cache on or
-  off;
+* the collector reads each launch's own analysis record, whose values are
+  the same whether the analysis cache served it or computed it cold, so
+  reports are byte-identical with the cache on or off;
 * ``insights_digest`` is SHA-256 over the canonical JSON of the report with
   ``insights_digest`` itself and ``manifest.source_digest`` removed — the
   digest covers the measurements, while the source hash identifies the code
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..digest import canonical_digest
-from ..gpu import analysis_cache, timing
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
 
 INSIGHTS_VERSION = 1
@@ -169,27 +169,18 @@ class LaunchRow:
 class SiteCollector:
     """Launch listener recording :class:`LaunchRow` per launch.
 
-    ``KernelLaunch`` envelopes carry memory metrics and stall shares but not
-    the timing *components* (the per-bound cycle counts the classifier
-    needs), so the collector recomputes ``timing.analyze`` — memoized in its
-    own signature-keyed dict rather than the global analysis cache, keeping
-    the report byte-identical whether that cache is on or off.  ``replay``
-    rebuilds the envelope whenever a listener is attached, so the collector
+    Every field comes from the launch envelope: its descriptor, its start,
+    and the analysis record it was costed with — the timing *components*
+    (the per-bound cycle counts the classifier needs) included.  ``replay``
+    builds the envelope whenever a listener is attached, so the collector
     sees every launch including fast-path replays.
     """
 
-    def __init__(self, sim: Optional[SimulationConfig] = None) -> None:
-        self.sim = sim or DEFAULT_SIMULATION
+    def __init__(self) -> None:
         self.rows: list[LaunchRow] = []
-        self._timings: dict[tuple, object] = {}
 
     def on_launch(self, launch) -> None:
         desc = launch.descriptor
-        sig = analysis_cache.signature(desc, self.sim)
-        result = self._timings.get(sig)
-        if result is None:
-            result = timing.analyze(desc, launch.memory, self.sim)
-            self._timings[sig] = result
         self.rows.append(LaunchRow(
             start_s=launch.start_s,
             duration_s=launch.duration_s,
@@ -200,7 +191,7 @@ class SiteCollector:
             int32_iops=desc.int32_iops,
             dram_bytes=launch.memory.dram_bytes,
             l2_bytes=launch.memory.l2_bytes,
-            components=result.components,
+            components=launch.record.timing.components,
             stalls=launch.stalls.as_dict(),
         ))
 
@@ -438,7 +429,7 @@ def insights_report(key: str, scale: str = "test", epochs: int = 2,
     from . import trace
 
     sim = sim or DEFAULT_SIMULATION
-    collector = SiteCollector(sim)
+    collector = SiteCollector()
     timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
                                  epochs=epochs, seed=seed, sim=sim,
                                  launch_listener=collector.on_launch)

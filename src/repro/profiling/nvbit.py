@@ -52,10 +52,11 @@ class DivergenceInstrument:
         warp_loads = desc.ldst_instrs / 32.0
         category = desc.op_class.figure_category()
         self._loads[category] += warp_loads
-        self._divergent[category] += warp_loads * launch.memory.divergent_load_fraction
-        self._lines[category] += warp_loads * launch.memory.lines_per_warp
+        mem = launch.memory
+        self._divergent[category] += warp_loads * mem.divergent_load_fraction
+        self._lines[category] += warp_loads * mem.lines_per_warp
         self.total_loads += warp_loads
-        self.total_divergent += warp_loads * launch.memory.divergent_load_fraction
+        self.total_divergent += warp_loads * mem.divergent_load_fraction
 
     def divergent_load_fraction(self) -> float:
         """Suite metric: fraction of warp loads touching > 1 line."""

@@ -110,28 +110,31 @@ class KernelProfiler:
             stats = KernelStats(name=desc.name, op_class=desc.op_class)
             self.kernels[desc.name] = stats
 
+        # one read of the shared record, not one read-through per metric
+        record = launch.record
+        tim, mem = record.timing, record.memory
+        w = tim.duration_s
         stats.launches += 1
-        stats.total_time_s += launch.duration_s
+        stats.total_time_s += w
         stats.flops += desc.fp32_flops
         stats.iops += desc.int32_iops
-        stats.instructions += launch.instructions
-        stats.fp32_instrs += launch.fp32_instrs
-        stats.int32_instrs += launch.int32_instrs
-        stats.dram_bytes += launch.memory.dram_bytes
-        self.total_time_s += launch.duration_s
+        stats.instructions += tim.instructions
+        stats.fp32_instrs += tim.fp32_instrs
+        stats.int32_instrs += tim.int32_instrs
+        stats.dram_bytes += mem.dram_bytes
+        self.total_time_s += w
         self.total_launches += 1
-        self.phase_time[desc.phase] += launch.duration_s
+        self.phase_time[desc.phase] += w
 
         if stats.sampled_launches < self.sample_limit:
-            w = launch.duration_s
             stats.sampled_launches += 1
             stats.sampled_time_s += w
-            stats.w_ipc += launch.ipc * w
-            stats.w_occupancy += launch.occupancy * w
-            stats.w_l1_hit += launch.memory.l1_hit_rate * w
-            stats.w_l2_hit += launch.memory.l2_hit_rate * w
-            stats.w_divergent += launch.memory.divergent_load_fraction * w
-            for key, value in launch.stalls.as_dict().items():
+            stats.w_ipc += tim.ipc * w
+            stats.w_occupancy += tim.occupancy * w
+            stats.w_l1_hit += mem.l1_hit_rate * w
+            stats.w_l2_hit += mem.l2_hit_rate * w
+            stats.w_divergent += mem.divergent_load_fraction * w
+            for key, value in record.stalls.as_dict().items():
                 stats.w_stalls[key] += value * w
 
     # -- aggregation (the figures' inputs) ---------------------------------------

@@ -52,6 +52,25 @@ def golden_dir() -> Path:
     return Path(override) if override else GOLDEN_DIR
 
 
+def launch_line(launch: KernelLaunch) -> tuple:
+    """One kernel launch as a stream-digest line: its descriptor only."""
+    d = launch.descriptor
+    return (
+        "K", d.name, d.op_class.value, d.phase, d.threads, d.block_size,
+        d.fp32_flops, d.int32_iops, d.ldst_instrs, d.control_instrs,
+        d.bytes_read, d.bytes_written,
+    )
+
+
+def transfer_line(record: TransferRecord) -> tuple:
+    """One host<->device copy as a stream-digest line."""
+    # num_zeros is intentionally absent: d2h payloads are compute results,
+    # and a borderline value flipping to exact zero must not change the
+    # structural digest.
+    return ("T", record.direction, record.label, record.nbytes,
+            record.num_values, record.wire_bytes)
+
+
 class StreamRecorder:
     """Device listener that keeps the full ordered launch/transfer stream."""
 
@@ -72,21 +91,10 @@ class StreamRecorder:
             self._device = None
 
     def on_launch(self, launch: KernelLaunch) -> None:
-        d = launch.descriptor
-        self.events.append((
-            "K", d.name, d.op_class.value, d.phase, d.threads, d.block_size,
-            d.fp32_flops, d.int32_iops, d.ldst_instrs, d.control_instrs,
-            d.bytes_read, d.bytes_written,
-        ))
+        self.events.append(launch_line(launch))
 
     def on_transfer(self, record: TransferRecord) -> None:
-        # num_zeros is intentionally absent: d2h payloads are compute results,
-        # and a borderline value flipping to exact zero must not change the
-        # structural digest.
-        self.events.append((
-            "T", record.direction, record.label, record.nbytes,
-            record.num_values, record.wire_bytes,
-        ))
+        self.events.append(transfer_line(record))
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -282,16 +290,12 @@ def fused_fingerprint(
     fused_names: dict[str, int] = {}
     for event in fused.events:
         if event[0] == "K":
-            d = event[1].descriptor
-            line = ("K", d.name, d.op_class.value, d.phase, d.threads,
-                    d.block_size, d.fp32_flops, d.int32_iops, d.ldst_instrs,
-                    d.control_instrs, d.bytes_read, d.bytes_written)
-            if d.name.startswith("fused_elementwise_x"):
-                fused_names[d.name] = fused_names.get(d.name, 0) + 1
+            line = launch_line(event[1])
+            name = line[1]
+            if name.startswith("fused_elementwise_x"):
+                fused_names[name] = fused_names.get(name, 0) + 1
         elif event[0] == "T":
-            r = event[1]
-            line = ("T", r.direction, r.label, r.nbytes, r.num_values,
-                    r.wire_bytes)
+            line = transfer_line(event[1])
         else:
             line = event
         h.update(repr(line).encode())

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..gpu.analysis_cache import AnalysisRecord
 from ..gpu.kernel import (
     AccessPattern,
     KernelDescriptor,
@@ -33,6 +34,7 @@ from ..gpu.kernel import (
     StallBreakdown,
     TransferRecord,
 )
+from ..gpu.timing import TimingResult
 
 #: synthetic epoch-boundary event: any tag the replay/fusion machinery does
 #: not recognise acts as a fusion barrier
@@ -41,6 +43,17 @@ EPOCH_BOUNDARY = ("E",)
 PHASES = ("forward", "backward", "optimizer")
 
 ELEMENTWISE_NAMES = ("add", "mul", "relu", "sigmoid", "dropout", "sgd_step")
+
+#: the all-zero analysis record every synthetic launch shares
+ZERO_RECORD = AnalysisRecord(
+    memory=MemoryMetrics(),
+    timing=TimingResult(
+        cycles=0.0, duration_s=0.0, instructions=0.0, fp32_instrs=0.0,
+        int32_instrs=0.0, ldst_instrs=0.0, control_instrs=0.0, ipc=0.0,
+        occupancy=0.0, bound="", components={},
+    ),
+    stalls=StallBreakdown(),
+)
 
 
 def make_launch(
@@ -61,7 +74,7 @@ def make_launch(
     compute_scale: float = 1.0,
     access: Optional[AccessPattern] = None,
 ) -> tuple:
-    """One ``("K", launch)`` event with zeroed timing fields.
+    """One ``("K", launch)`` event costed by :data:`ZERO_RECORD`.
 
     Fusion never reads timing from its *inputs* (only from the re-analysed
     fused descriptor), so synthetic launches don't need the analysis
@@ -83,22 +96,7 @@ def make_launch(
         phase=phase,
         compute_scale=compute_scale,
     )
-    launch = KernelLaunch(
-        descriptor=desc,
-        launch_id=-1,
-        device_id=device_id,
-        cycles=0.0,
-        duration_s=0.0,
-        start_s=0.0,
-        instructions=0.0,
-        fp32_instrs=0.0,
-        int32_instrs=0.0,
-        ipc=0.0,
-        occupancy=0.0,
-        memory=MemoryMetrics(),
-        stalls=StallBreakdown(),
-    )
-    return ("K", launch)
+    return ("K", KernelLaunch(desc, -1, device_id, 0.0, ZERO_RECORD))
 
 
 def make_transfer(direction: str = "h2d", nbytes: int = 4096,

@@ -96,6 +96,13 @@ def test_stall_share_out_of_range():
         check_stalls(bad)
 
 
+def _with_record(launch, **parts):
+    """``launch`` re-costed by a copy of its analysis record with ``parts``
+    (``memory``/``timing``/``stalls``) swapped in."""
+    return dataclasses.replace(
+        launch, record=dataclasses.replace(launch.record, **parts))
+
+
 def test_corrupted_launch_metrics_rejected():
     device = SimulatedGPU()
     launch = _launch_one(device)
@@ -105,9 +112,10 @@ def test_corrupted_launch_metrics_rejected():
         ("ipc", 0.0, "ipc"),
         ("instructions", launch.instructions * 2, "instructions"),
     ]:
-        corrupted = dataclasses.replace(launch, **{field: value})
+        bad_timing = dataclasses.replace(launch.record.timing,
+                                         **{field: value})
         with pytest.raises(InvariantViolation, match=pattern):
-            check_launch(corrupted)
+            check_launch(_with_record(launch, timing=bad_timing))
 
 
 def test_dram_exceeding_l2_rejected():
@@ -116,7 +124,7 @@ def test_dram_exceeding_l2_rejected():
     bad_mem = dataclasses.replace(launch.memory,
                                   dram_bytes=launch.memory.l2_bytes * 2 + 1)
     with pytest.raises(InvariantViolation, match="dram_bytes"):
-        check_launch(dataclasses.replace(launch, memory=bad_mem))
+        check_launch(_with_record(launch, memory=bad_mem))
 
 
 def test_hit_rate_out_of_range_rejected():
@@ -124,7 +132,7 @@ def test_hit_rate_out_of_range_rejected():
     launch = _launch_one(device)
     bad_mem = dataclasses.replace(launch.memory, l1_hit_rate=1.01)
     with pytest.raises(InvariantViolation, match="l1_hit_rate"):
-        check_launch(dataclasses.replace(launch, memory=bad_mem))
+        check_launch(_with_record(launch, memory=bad_mem))
 
 
 def _transfer(**overrides):
